@@ -164,10 +164,12 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
   in
   let mk_cell (entry : Trace.Presets.entry) alloc =
     let workload = truncated entry.workload in
-    Sched.Sweep.cell ~scenario ~scenario_seed:seed ~backfill_window:window
-      ~backfill:(window > 0)
-      ~faults:(faults_for entry workload)
-      ~resilience ~profile ?net ~radix:entry.cluster_radix alloc workload
+    Sched.Sweep.cell ~profile
+      (Sched.Simulator.Config.make ~scenario ~scenario_seed:seed
+         ~backfill_window:window ~backfill:(window > 0)
+         ~faults:(faults_for entry workload)
+         ~resilience ?net ~radix:entry.cluster_radix alloc)
+      workload
   in
   Cli_common.check_scale_full ~action:"runs" scale full;
   let entries =
@@ -266,13 +268,11 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
         let c = cells.(0) in
         let t0 = Unix.gettimeofday () in
         let prof = if profile then Some (Obs.Prof.create ()) else None in
-        let cfg =
-          Sched.Simulator.Config.make ~scenario:c.scenario
-            ~scenario_seed:c.scenario_seed ~backfill_window:c.backfill_window
-            ~backfill:c.backfill ~faults:c.faults ~resilience:c.resilience
-            ?prof ?net:c.net ~radix:c.radix c.allocator
+        let sim =
+          Sched.Simulator.start
+            (Sched.Simulator.Config.with_prof prof c.config)
+            c.workload
         in
-        let sim = Sched.Simulator.start cfg c.workload in
         let out = Option.get checkpoint_out in
         checkpoint_loop sim ~every:checkpoint_every ~out;
         let metrics, _ = Sched.Simulator.finish sim in
@@ -340,11 +340,9 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
               let t0 = Unix.gettimeofday () in
               let prof = if profile then Some (Obs.Prof.create ()) else None in
               let cfg =
-                Sched.Simulator.Config.make ~scenario:c.scenario
-                  ~scenario_seed:c.scenario_seed
-                  ~backfill_window:c.backfill_window ~backfill:c.backfill
-                  ~faults:c.faults ~resilience:c.resilience ~sink ?prof
-                  ?net:c.net ~radix:c.radix c.allocator
+                c.config
+                |> Sched.Simulator.Config.with_sink sink
+                |> Sched.Simulator.Config.with_prof prof
               in
               let sim = Sched.Simulator.start cfg c.workload in
               let metrics, _ = Sched.Simulator.finish sim in
@@ -372,8 +370,8 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
       let tag =
         if sweep then
           Printf.sprintf "%s.%s" c.workload.Trace.Workload.name
-            c.allocator.Sched.Allocator.name
-        else c.allocator.Sched.Allocator.name
+            c.config.allocator.name
+        else c.config.allocator.name
       in
       Printf.sprintf "%s.%s%s" (Filename.remove_extension path) tag
         (Filename.extension path)
@@ -424,9 +422,9 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
               if sweep then
                 Printf.sprintf "%s.%s.%s.csv" path
                   c.workload.Trace.Workload.name
-                  c.allocator.Sched.Allocator.name
+                  c.config.allocator.name
               else
-                Printf.sprintf "%s.%s.csv" path c.allocator.Sched.Allocator.name
+                Printf.sprintf "%s.%s.csv" path c.config.allocator.name
             in
             Out_channel.with_open_text file (fun oc ->
                 Sched.Metrics.write_series_csv oc m);
@@ -510,7 +508,7 @@ let cmd =
     Cli_common.scale_arg
       ~doc:"Use the radix-48 scale tier: the nine workload families \
             re-targeted at a 27648-node cluster (names carry an @48 \
-            suffix, e.g. Synth-16\\@48), for measuring allocator cost \
+            suffix, e.g. Synth-16@48), for measuring allocator cost \
             at large radix. With --sweep, runs the 45-cell scale grid; \
             incompatible with --full."
   in

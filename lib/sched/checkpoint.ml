@@ -17,8 +17,11 @@ open Simulator.Snapshot
    fields, run rows an "epoch" (resize count), and the header a "shrink"
    resilience flag — each written only when it differs from the rigid
    default, so a v2 file of a rigid run is byte-identical to v1 apart
-   from the version number.  The loader accepts both versions. *)
-let version = 2
+   from the version number.  Version 3: the header's configuration
+   fields are [Simulator.Params.to_fields], shared with the daemon's WAL
+   header — the trace name moved from key "trace" to "trace_name".  The
+   loader accepts all three versions. *)
+let version = 3
 let oldest_readable_version = 1
 let magic = "jigsaw-checkpoint"
 
@@ -29,7 +32,6 @@ let magic = "jigsaw-checkpoint"
 let num x = Obs.Json.Num x
 let int_ i = Obs.Json.Num (float_of_int i)
 let str s = Obs.Json.Str s
-let bool_ b = int_ (if b then 1 else 0)
 let ints_str a = Array.to_list a |> List.map string_of_int |> String.concat " "
 
 let pairs_str a =
@@ -60,33 +62,17 @@ let save ?(meta = []) ~path (s : Simulator.Snapshot.t) =
     Obs.Json.write buf fields;
     Buffer.add_char buf '\n'
   in
-  let r = s.resilience in
   line
-    ([
-      ("record", str magic);
-      ("version", int_ version);
-      ("scheme", str s.scheme);
-      ("trace", str s.trace_name);
-      ("scenario", str s.scenario);
-      ("radix", int_ s.radix);
-      ("system_nodes", int_ s.system_nodes);
-      ("scenario_seed", int_ s.scenario_seed);
-      ("backfill_window", int_ s.backfill_window);
-      ("backfill", bool_ s.backfill);
-      ("requeue", bool_ r.Simulator.requeue);
-      ("resubmit_delay", num r.Simulator.resubmit_delay);
-      ("max_retries", int_ r.Simulator.max_retries);
-      ("charge_lost_work", bool_ r.Simulator.charge_lost_work);
-    ]
-    @ (if r.Simulator.shrink then [ ("shrink", bool_ true) ] else [])
+    ([ ("record", str magic); ("version", int_ version) ]
+    @ Simulator.Params.to_fields s.params
     @ [
-      ("jobs", int_ (Array.length s.jobs));
-      ("faults", int_ (Array.length s.faults));
-      ("events", int_ (Array.length s.events));
-      ("running", int_ (Array.length s.running));
-      ("finished", int_ (Array.length s.finished));
-      ("samples", int_ (Array.length s.samples));
-    ]
+        ("jobs", int_ (Array.length s.jobs));
+        ("faults", int_ (Array.length s.faults));
+        ("events", int_ (Array.length s.events));
+        ("running", int_ (Array.length s.running));
+        ("finished", int_ (Array.length s.finished));
+        ("samples", int_ (Array.length s.samples));
+      ]
     @ meta);
   Array.iter
     (fun (j : Trace.Job.t) ->
@@ -147,6 +133,7 @@ let save ?(meta = []) ~path (s : Simulator.Snapshot.t) =
   line [ ("record", str "kills"); ("entries", str (pairs_str s.kills)) ];
   Array.iter
     (fun (rj : running_job) ->
+      let a = rj.rs_alloc in
       line
         ([
            ("record", str "run");
@@ -158,11 +145,11 @@ let save ?(meta = []) ~path (s : Simulator.Snapshot.t) =
             ("start", num rj.rs_start);
             ("end", num rj.rs_end);
             ("est_end", num rj.rs_est_end);
-            ("size", int_ rj.rs_size);
-            ("bw", num rj.rs_bw);
-            ("nodes", str (ints_str rj.rs_nodes));
-            ("leaf", str (ints_str rj.rs_leaf_cables));
-            ("l2", str (ints_str rj.rs_l2_cables));
+            ("size", int_ a.size);
+            ("bw", num a.bw);
+            ("nodes", str (ints_str a.nodes));
+            ("leaf", str (ints_str a.leaf_cables));
+            ("l2", str (ints_str a.l2_cables));
           ]))
     s.running;
   Array.iter
@@ -188,31 +175,15 @@ let save ?(meta = []) ~path (s : Simulator.Snapshot.t) =
         ])
     s.samples;
   line
-    ([
-       ("record", str "acc");
-       ("sched_clock", num s.sched_clock);
-       ("alloc_busy", int_ s.alloc_busy);
-       ("req_busy", int_ s.req_busy);
-       ("last_start", num s.last_start_time);
-       ("first_start", num s.first_start_time);
-       ("first_blocked", num s.first_blocked_time);
-       ("rejected", int_ s.rejected);
-       ("pending_repairs", int_ s.pending_repairs);
-       ("fault_count", int_ s.fault_count);
-       ("interrupted", int_ s.interrupted);
-       ("requeued", int_ s.requeued);
-       ("abandoned", int_ s.abandoned);
-       ("lost_node_time", num s.lost_node_time);
-       ("shrunk", int_ s.shrunk);
-       ("grown", int_ s.grown);
-       ("started_total", int_ s.started_total);
-       ("cancelled", int_ s.cancelled);
-       ("st_claims", int_ s.st_claims);
-       ("st_releases", int_ s.st_releases);
-       ("st_failures", int_ s.st_failures);
-       ("st_repairs", int_ s.st_repairs);
-       ("st_clones", int_ s.st_clones);
-     ]
+    ([ ("record", str "acc") ]
+    @ Simulator.Acc.to_fields s.acc
+    @ [
+        ("st_claims", int_ s.st_claims);
+        ("st_releases", int_ s.st_releases);
+        ("st_failures", int_ s.st_failures);
+        ("st_repairs", int_ s.st_repairs);
+        ("st_clones", int_ s.st_clones);
+      ]
     @
     match s.reserved with
     | None -> []
@@ -408,19 +379,24 @@ let load_ext ~path =
         | "nofit" -> nofit := Some (jint f "gen", parse_nofit (jstr f "entries"))
         | "kills" -> kills := Some (parse_pairs "kills" (jstr f "entries"))
         | "run" ->
+            let id = jint f "id" in
             running :=
               {
-                rs_job = jint f "id";
+                rs_job = id;
                 rs_attempt = jint f "attempt";
                 rs_epoch = (if Obs.Json.mem f "epoch" then jint f "epoch" else 0);
                 rs_start = jnum f "start";
                 rs_end = jnum f "end";
                 rs_est_end = jnum f "est_end";
-                rs_size = jint f "size";
-                rs_bw = jnum f "bw";
-                rs_nodes = parse_ints "nodes" (jstr f "nodes");
-                rs_leaf_cables = parse_ints "leaf" (jstr f "leaf");
-                rs_l2_cables = parse_ints "l2" (jstr f "l2");
+                rs_alloc =
+                  {
+                    Fattree.Alloc.job = id;
+                    size = jint f "size";
+                    bw = jnum f "bw";
+                    nodes = parse_ints "nodes" (jstr f "nodes");
+                    leaf_cables = parse_ints "leaf" (jstr f "leaf");
+                    l2_cables = parse_ints "l2" (jstr f "l2");
+                  };
               }
               :: !running
         | "fin" ->
@@ -453,25 +429,22 @@ let load_ext ~path =
           expected;
       a
     in
+    let params =
+      (* Versions 1-2 named the trace "trace". *)
+      let fields =
+        if v >= 3 then header
+        else
+          List.map
+            (fun (k, x) -> ((if k = "trace" then "trace_name" else k), x))
+            header
+      in
+      match Simulator.Params.of_fields fields with
+      | Ok p -> p
+      | Error m -> fail "%s: %s" path m
+    in
     let s =
       {
-        scheme = jstr header "scheme";
-        radix = jint header "radix";
-        scenario = jstr header "scenario";
-        scenario_seed = jint header "scenario_seed";
-        backfill_window = jint header "backfill_window";
-        backfill = jint header "backfill" <> 0;
-        resilience =
-          {
-            Simulator.requeue = jint header "requeue" <> 0;
-            resubmit_delay = jnum header "resubmit_delay";
-            max_retries = jint header "max_retries";
-            charge_lost_work = jint header "charge_lost_work" <> 0;
-            shrink =
-              Obs.Json.mem header "shrink" && jint header "shrink" <> 0;
-          };
-        trace_name = jstr header "trace";
-        system_nodes = jint header "system_nodes";
+        params;
         jobs = arr "job" "jobs" !jobs;
         faults = arr "fault" "faults" !faults;
         clock = jnum engine "clock";
@@ -489,28 +462,9 @@ let load_ext ~path =
           (if Obs.Json.mem acc "reserved_id" then
              Some (jint acc "reserved_id", jnum acc "reserved_at")
            else None);
-        sched_clock = jnum acc "sched_clock";
+        acc = Simulator.Acc.of_fields acc;
         samples = arr "sample" "samples" !samples;
-        alloc_busy = jint acc "alloc_busy";
-        req_busy = jint acc "req_busy";
         finished = arr "finished" "finished" !finished;
-        last_start_time = jnum acc "last_start";
-        first_start_time = jnum acc "first_start";
-        first_blocked_time = jnum acc "first_blocked";
-        rejected = jint acc "rejected";
-        pending_repairs = jint acc "pending_repairs";
-        fault_count = jint acc "fault_count";
-        interrupted = jint acc "interrupted";
-        requeued = jint acc "requeued";
-        abandoned = jint acc "abandoned";
-        lost_node_time = jnum acc "lost_node_time";
-        (* Absent in version-1 files: molding did not exist. *)
-        shrunk = (if Obs.Json.mem acc "shrunk" then jint acc "shrunk" else 0);
-        grown = (if Obs.Json.mem acc "grown" then jint acc "grown" else 0);
-        started_total = jint acc "started_total";
-        (* Absent in pre-daemon checkpoint files: no cancellations. *)
-        cancelled =
-          (if Obs.Json.mem acc "cancelled" then jint acc "cancelled" else 0);
         st_claims = jint acc "st_claims";
         st_releases = jint acc "st_releases";
         st_failures = jint acc "st_failures";

@@ -25,7 +25,8 @@
     The record order is documented in DESIGN.md §12. *)
 
 val version : int
-(** Format version written by {!save}; {!load} rejects others. *)
+(** Format version written by {!save}; {!load} reads versions 1 to
+    [version]. *)
 
 val save :
   ?meta:(string * Obs.Json.value) list ->

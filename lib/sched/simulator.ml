@@ -60,20 +60,230 @@ module Config = struct
       net;
     }
 
-  let with_allocator allocator cfg = { cfg with allocator }
-  let with_radix radix cfg = { cfg with radix }
   let with_scenario scenario cfg = { cfg with scenario }
-  let with_scenario_seed scenario_seed cfg = { cfg with scenario_seed }
   let with_backfill_window backfill_window cfg = { cfg with backfill_window }
   let with_backfill backfill cfg = { cfg with backfill }
-  let with_faults faults cfg = { cfg with faults }
-  let with_resilience resilience cfg = { cfg with resilience }
   let with_sink sink cfg = { cfg with sink }
   let with_prof prof cfg = { cfg with prof }
-  let with_net net cfg = { cfg with net }
 end
 
-let default_config allocator ~radix = Config.make ~radix allocator
+(* The serializable configuration identity: what a checkpoint header or
+   a WAL segment header must carry to rebuild a [config].  The record
+   sits in its own [Record] module so [Svc.Core] can re-export it, labels
+   included, with a plain [include]. *)
+module Params = struct
+  module Record = struct
+    type params = {
+      scheme : string;
+      radix : int;
+      scenario : string;
+      scenario_seed : int;
+      backfill_window : int;
+      backfill : bool;
+      resilience : resilience;
+      trace_name : string;
+      system_nodes : int;
+    }
+  end
+
+  include Record
+
+  type t = params
+
+  let of_config (cfg : config) (w : Trace.Workload.t) =
+    {
+      scheme = cfg.allocator.Allocator.name;
+      radix = cfg.radix;
+      scenario = Trace.Scenario.name cfg.scenario;
+      scenario_seed = cfg.scenario_seed;
+      backfill_window = cfg.backfill_window;
+      backfill = cfg.backfill;
+      resilience = cfg.resilience;
+      trace_name = w.name;
+      system_nodes = w.system_nodes;
+    }
+
+  let num_i i = Obs.Json.Num (float_of_int i)
+  let num_b b = Obs.Json.Num (if b then 1.0 else 0.0)
+
+  let to_fields p =
+    [
+      ("scheme", Obs.Json.Str p.scheme);
+      ("radix", num_i p.radix);
+      ("scenario", Obs.Json.Str p.scenario);
+      ("scenario_seed", num_i p.scenario_seed);
+      ("backfill_window", num_i p.backfill_window);
+      ("backfill", num_b p.backfill);
+      ("requeue", num_b p.resilience.requeue);
+      ("resubmit_delay", Obs.Json.Num p.resilience.resubmit_delay);
+      ("max_retries", num_i p.resilience.max_retries);
+      ("charge_lost_work", num_b p.resilience.charge_lost_work);
+    ]
+    @ (if p.resilience.shrink then [ ("shrink", num_b true) ] else [])
+    @ [
+        ("trace_name", Obs.Json.Str p.trace_name);
+        ("system_nodes", num_i p.system_nodes);
+      ]
+
+  let of_fields fields =
+    let int = Obs.Json.int fields and flag k = Obs.Json.int fields k <> 0 in
+    try
+      Ok
+        {
+          scheme = Obs.Json.str fields "scheme";
+          radix = int "radix";
+          scenario = Obs.Json.str fields "scenario";
+          scenario_seed = int "scenario_seed";
+          backfill_window = int "backfill_window";
+          backfill = flag "backfill";
+          resilience =
+            {
+              requeue = flag "requeue";
+              resubmit_delay = Obs.Json.num fields "resubmit_delay";
+              max_retries = int "max_retries";
+              charge_lost_work = flag "charge_lost_work";
+              (* Absent in configs written before molding existed. *)
+              shrink = Obs.Json.mem fields "shrink" && flag "shrink";
+            };
+          trace_name = Obs.Json.str fields "trace_name";
+          system_nodes = int "system_nodes";
+        }
+    with Obs.Json.Parse_error m -> Error ("bad config fields: " ^ m)
+
+  let to_config ?faults ?sink ?prof ?net p =
+    match (Allocator.by_name p.scheme, Trace.Scenario.of_name p.scenario) with
+    | Error m, _ | _, Error m -> Error m
+    | Ok _, Ok _ when p.system_nodes < 0 ->
+        Error "system_nodes must be non-negative"
+    | Ok allocator, Ok scenario ->
+        Ok
+          (Config.make ~scenario ~scenario_seed:p.scenario_seed
+             ~backfill_window:p.backfill_window ~backfill:p.backfill ?faults
+             ~resilience:p.resilience ?sink ?prof ?net ~radix:p.radix allocator)
+end
+
+(* The run's scalar accumulators, declared once: [sim] holds the live
+   record, a snapshot holds a copy, and the checkpoint [acc] row is
+   written and read through [fields]. *)
+module Acc = struct
+  type t = {
+    mutable sched_clock : float;  (* wall time spent deciding *)
+    mutable alloc_busy : int;
+    mutable req_busy : int;
+    mutable last_start_time : float;
+    mutable first_start_time : float;
+    mutable first_blocked_time : float;
+    mutable rejected : int;
+    mutable pending_repairs : int;  (* repair events not yet applied *)
+    mutable fault_events : int;
+    mutable interrupted : int;
+    mutable requeued : int;
+    mutable abandoned : int;
+    mutable lost_node_time : float;
+    mutable shrunk : int;  (* fault recoveries by in-place shrink *)
+    mutable grown : int;  (* idle-capacity grows of moldable jobs *)
+    mutable started_total : int;  (* jobs started, for Pass_end deltas *)
+    mutable cancelled : int;  (* pending jobs withdrawn before starting *)
+  }
+
+  let create () =
+    {
+      sched_clock = 0.0;
+      alloc_busy = 0;
+      req_busy = 0;
+      last_start_time = 0.0;
+      first_start_time = -1.0;
+      first_blocked_time = -1.0;
+      rejected = 0;
+      pending_repairs = 0;
+      fault_events = 0;
+      interrupted = 0;
+      requeued = 0;
+      abandoned = 0;
+      lost_node_time = 0.0;
+      shrunk = 0;
+      grown = 0;
+      started_total = 0;
+      cancelled = 0;
+    }
+
+  let copy a = { a with sched_clock = a.sched_clock }
+
+  (* One entry per accumulator: its checkpoint key, reader and writer.
+     [zero_if_absent] marks counters newer than the oldest readable
+     checkpoint; an absent key keeps [create]'s 0.  Every other key is
+     required. *)
+  type field = {
+    key : string;
+    get : t -> Obs.Json.value;
+    set : t -> (string * Obs.Json.value) list -> unit;
+    zero_if_absent : bool;
+  }
+
+  let int ?(zero_if_absent = false) key get set =
+    {
+      key;
+      zero_if_absent;
+      get = (fun a -> Obs.Json.Num (float_of_int (get a)));
+      set = (fun a row -> set a (Obs.Json.int row key));
+    }
+
+  let float key get set =
+    {
+      key;
+      zero_if_absent = false;
+      get = (fun a -> Obs.Json.Num (get a));
+      set = (fun a row -> set a (Obs.Json.num row key));
+    }
+
+  let fields =
+    [
+      float "sched_clock" (fun a -> a.sched_clock) (fun a v -> a.sched_clock <- v);
+      int "alloc_busy" (fun a -> a.alloc_busy) (fun a v -> a.alloc_busy <- v);
+      int "req_busy" (fun a -> a.req_busy) (fun a v -> a.req_busy <- v);
+      float "last_start"
+        (fun a -> a.last_start_time)
+        (fun a v -> a.last_start_time <- v);
+      float "first_start"
+        (fun a -> a.first_start_time)
+        (fun a v -> a.first_start_time <- v);
+      float "first_blocked"
+        (fun a -> a.first_blocked_time)
+        (fun a v -> a.first_blocked_time <- v);
+      int "rejected" (fun a -> a.rejected) (fun a v -> a.rejected <- v);
+      int "pending_repairs"
+        (fun a -> a.pending_repairs)
+        (fun a v -> a.pending_repairs <- v);
+      int "fault_count" (fun a -> a.fault_events) (fun a v -> a.fault_events <- v);
+      int "interrupted" (fun a -> a.interrupted) (fun a v -> a.interrupted <- v);
+      int "requeued" (fun a -> a.requeued) (fun a v -> a.requeued <- v);
+      int "abandoned" (fun a -> a.abandoned) (fun a v -> a.abandoned <- v);
+      float "lost_node_time"
+        (fun a -> a.lost_node_time)
+        (fun a v -> a.lost_node_time <- v);
+      (* Absent in version-1 files: molding did not exist. *)
+      int ~zero_if_absent:true "shrunk" (fun a -> a.shrunk) (fun a v -> a.shrunk <- v);
+      int ~zero_if_absent:true "grown" (fun a -> a.grown) (fun a v -> a.grown <- v);
+      int "started_total"
+        (fun a -> a.started_total)
+        (fun a v -> a.started_total <- v);
+      (* Absent in pre-daemon files: no cancellations. *)
+      int ~zero_if_absent:true "cancelled"
+        (fun a -> a.cancelled)
+        (fun a v -> a.cancelled <- v);
+    ]
+
+  let to_fields a = List.map (fun f -> (f.key, f.get a)) fields
+
+  let of_fields row =
+    let a = create () in
+    List.iter
+      (fun f ->
+        if not (f.zero_if_absent && not (Obs.Json.mem row f.key)) then
+          f.set a row)
+      fields;
+    a
+end
 
 type running = {
   r_job : Trace.Job.t;
@@ -110,29 +320,12 @@ type sim = {
   nofit : (int * float, unit) Hashtbl.t;
   mutable nofit_release_gen : int;
   mutable pass_scheduled : bool;
-  mutable sched_clock : float; (* wall time spent deciding *)
+  acc : Acc.t;
   (* step function samples: (time, allocated_busy, requested_busy,
      pending_count, failed_nodes) recorded at every change *)
   mutable samples : (float * int * int * int * int) list;
-  mutable alloc_busy : int;
-  mutable req_busy : int;
   mutable finished : Metrics.per_job list;
-  mutable last_start_time : float;
-  mutable first_start_time : float;
-  mutable first_blocked_time : float;
-  mutable rejected : int;
-  (* resilience accounting *)
   kills : (int, int) Hashtbl.t; (* job id -> attempts killed so far *)
-  mutable pending_repairs : int; (* repair events not yet applied *)
-  mutable fault_events : int;
-  mutable interrupted : int;
-  mutable requeued : int;
-  mutable abandoned : int;
-  mutable lost_node_time : float;
-  mutable shrunk : int; (* fault recoveries by in-place shrink *)
-  mutable grown : int; (* idle-capacity grows of moldable jobs *)
-  (* observability *)
-  mutable started_total : int; (* jobs started, for Pass_end deltas *)
   mutable reserved : (int * float) option; (* live head reservation *)
   (* Reservation scratch arena: one lazily-created state reused by every
      reservation probe, refreshed from [st] by an allocation-free
@@ -141,12 +334,10 @@ type sim = {
   (* Online front-end (daemon) state: every job the simulation knows,
      plus jobs and fault events accepted after [start] (newest first).
      Snapshots append the dynamic lists to the static workload/trace so
-     a restore sees one merged history; [cancelled] counts pending jobs
-     withdrawn before they started. *)
+     a restore sees one merged history. *)
   jobs_by_id : (int, Trace.Job.t) Hashtbl.t;
   mutable dyn_jobs : Trace.Job.t list;
   mutable dyn_faults : Trace.Faults.event list;
-  mutable cancelled : int;
   (* Network telemetry (cfg.net): live congestion index over the running
      jobs' routed flows.  Pure observer — it never feeds back into
      scheduling or metrics, so telemetry-off runs are bit-identical. *)
@@ -156,8 +347,8 @@ type sim = {
 let record sim =
   sim.samples <-
     ( Sim.Engine.now sim.engine,
-      sim.alloc_busy,
-      sim.req_busy,
+      sim.acc.alloc_busy,
+      sim.acc.req_busy,
       Hashtbl.length sim.pending,
       Fattree.State.failed_node_count sim.st )
     :: sim.samples
@@ -185,7 +376,7 @@ let job_estimate (j : Trace.Job.t) ~granted =
 let timed sim f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
-  sim.sched_clock <- sim.sched_clock +. (Unix.gettimeofday () -. t0);
+  sim.acc.sched_clock <- sim.acc.sched_clock +. (Unix.gettimeofday () -. t0);
   r
 
 (* Emit one trace event.  The payload is a thunk so disabled tracing
@@ -436,11 +627,11 @@ let rec start_job sim ~ctx (j : Trace.Job.t) (alloc : Alloc.t) =
   Hashtbl.replace sim.running j.id
     { r_job = j; r_alloc = alloc; r_start = now; r_end;
       r_est_end = est_end; r_attempt = attempt; r_epoch = 0 };
-  sim.alloc_busy <- sim.alloc_busy + Array.length alloc.nodes;
-  sim.req_busy <- sim.req_busy + granted;
-  sim.last_start_time <- now;
-  sim.started_total <- sim.started_total + 1;
-  if sim.first_start_time < 0.0 then sim.first_start_time <- now;
+  sim.acc.alloc_busy <- sim.acc.alloc_busy + Array.length alloc.nodes;
+  sim.acc.req_busy <- sim.acc.req_busy + granted;
+  sim.acc.last_start_time <- now;
+  sim.acc.started_total <- sim.acc.started_total + 1;
+  if sim.acc.first_start_time < 0.0 then sim.acc.first_start_time <- now;
   (match sim.reserved with
   | Some (id, _) when id = j.id ->
       sim.reserved <- None;
@@ -479,8 +670,8 @@ and complete_job sim id ~attempt ~epoch =
   | Some r ->
       Hashtbl.remove sim.running id;
       State.release sim.st r.r_alloc;
-      sim.alloc_busy <- sim.alloc_busy - Array.length r.r_alloc.nodes;
-      sim.req_busy <- sim.req_busy - r.r_alloc.Alloc.size;
+      sim.acc.alloc_busy <- sim.acc.alloc_busy - Array.length r.r_alloc.nodes;
+      sim.acc.req_busy <- sim.acc.req_busy - r.r_alloc.Alloc.size;
       sim.finished <-
         { Metrics.job = r.r_job; start_time = r.r_start; end_time = r.r_end }
         :: sim.finished;
@@ -507,9 +698,9 @@ and swap_alloc sim (r : running) (new_alloc : Alloc.t) =
   let now = Sim.Engine.now sim.engine in
   State.release sim.st r.r_alloc;
   State.claim_exn ~validate:false sim.st new_alloc;
-  sim.alloc_busy <-
-    sim.alloc_busy - Array.length r.r_alloc.nodes + Array.length new_alloc.nodes;
-  sim.req_busy <- sim.req_busy - r.r_alloc.Alloc.size + new_alloc.Alloc.size;
+  sim.acc.alloc_busy <-
+    sim.acc.alloc_busy - Array.length r.r_alloc.nodes + Array.length new_alloc.nodes;
+  sim.acc.req_busy <- sim.acc.req_busy - r.r_alloc.Alloc.size + new_alloc.Alloc.size;
   let scale t =
     now
     +. (t -. now)
@@ -595,7 +786,7 @@ and grow_pass sim =
           | None -> ()
           | Some (target, new_alloc) ->
               let r' = swap_alloc sim r new_alloc in
-              sim.grown <- sim.grown + 1;
+              sim.acc.grown <- sim.acc.grown + 1;
               emit sim (fun () ->
                   Obs.Event.Resize
                     {
@@ -654,10 +845,10 @@ and schedule_pass sim =
   emit sim (fun () ->
       Obs.Event.Pass_start { pending = Hashtbl.length sim.pending });
   prof_incr sim "sched/passes";
-  let started_before = sim.started_total in
+  let started_before = sim.acc.started_total in
   run_pass sim;
   emit sim (fun () ->
-      Obs.Event.Pass_end { started = sim.started_total - started_before })
+      Obs.Event.Pass_end { started = sim.acc.started_total - started_before })
 
 and run_pass sim =
   (* A queue entry is live iff the job is still pending AND the entry
@@ -701,33 +892,33 @@ and run_pass sim =
       (* Plain FIFO: the head simply waits for resources.  Oversized
          requests must still be rejected, or they would wedge the queue
          forever. *)
-      if sim.first_blocked_time < 0.0 then
-        sim.first_blocked_time <- Sim.Engine.now sim.engine;
+      if sim.acc.first_blocked_time < 0.0 then
+        sim.acc.first_blocked_time <- Sim.Engine.now sim.engine;
       if Trace.Job.min_size head > Fattree.Topology.num_nodes (State.topo sim.st)
       then begin
         ignore (Queue.pop sim.pending_ids);
         Hashtbl.remove sim.pending head.id;
-        sim.rejected <- sim.rejected + 1;
+        sim.acc.rejected <- sim.acc.rejected + 1;
         emit sim (fun () -> Obs.Event.Reject { job = head.id });
         request_pass sim
       end
   | Some head -> (
-      if sim.first_blocked_time < 0.0 then
-        sim.first_blocked_time <- Sim.Engine.now sim.engine;
+      if sim.acc.first_blocked_time < 0.0 then
+        sim.acc.first_blocked_time <- Sim.Engine.now sim.engine;
       (* Phase 2: reservation for the head... *)
       match timed sim (fun () -> compute_reservation sim head) with
       | None
         when Trace.Job.min_size head
              > Fattree.Topology.num_nodes (State.topo sim.st)
              || (not (State.has_failures sim.st))
-             || sim.pending_repairs = 0 ->
+             || sim.acc.pending_repairs = 0 ->
           (* Definitively impossible: the job exceeds nameplate capacity,
              or even the fully drained machine — healthy, or degraded
              with no repair left to ever enlarge it.  Reject and continue
              with the rest. *)
           ignore (Queue.pop sim.pending_ids);
           Hashtbl.remove sim.pending head.id;
-          sim.rejected <- sim.rejected + 1;
+          sim.acc.rejected <- sim.acc.rejected + 1;
           (match sim.reserved with
           | Some (id, _) when id = head.id ->
               sim.reserved <- None;
@@ -838,9 +1029,9 @@ let arrive sim (j : Trace.Job.t) =
 let kill_job sim (r : running) =
   Hashtbl.remove sim.running r.r_job.id;
   State.release sim.st r.r_alloc;
-  sim.alloc_busy <- sim.alloc_busy - Array.length r.r_alloc.nodes;
-  sim.req_busy <- sim.req_busy - r.r_alloc.Alloc.size;
-  sim.interrupted <- sim.interrupted + 1;
+  sim.acc.alloc_busy <- sim.acc.alloc_busy - Array.length r.r_alloc.nodes;
+  sim.acc.req_busy <- sim.acc.req_busy - r.r_alloc.Alloc.size;
+  sim.acc.interrupted <- sim.acc.interrupted + 1;
   let now = Sim.Engine.now sim.engine in
   let kills =
     1 + Option.value (Hashtbl.find_opt sim.kills r.r_job.id) ~default:0
@@ -854,12 +1045,12 @@ let kill_job sim (r : running) =
      per second, not its nominal request.  Equal for rigid jobs. *)
   let lost = (now -. r.r_start) *. float_of_int r.r_alloc.Alloc.size in
   if sim.cfg.resilience.charge_lost_work || not requeue then
-    sim.lost_node_time <- sim.lost_node_time +. lost;
+    sim.acc.lost_node_time <- sim.acc.lost_node_time +. lost;
   emit sim (fun () ->
       Obs.Event.Kill { job = r.r_job.id; attempt = r.r_attempt; lost });
   net_retract sim r.r_job.id;
   if requeue then begin
-    sim.requeued <- sim.requeued + 1;
+    sim.acc.requeued <- sim.acc.requeued + 1;
     let resume_at = now +. sim.cfg.resilience.resubmit_delay in
     emit sim (fun () ->
         Obs.Event.Requeue { job = r.r_job.id; attempt = kills; resume_at });
@@ -868,7 +1059,7 @@ let kill_job sim (r : running) =
       (fun _ -> arrive sim r.r_job)
   end
   else begin
-    sim.abandoned <- sim.abandoned + 1;
+    sim.acc.abandoned <- sim.acc.abandoned + 1;
     emit sim (fun () ->
         Obs.Event.Abandon { job = r.r_job.id; attempt = r.r_attempt })
   end
@@ -909,7 +1100,7 @@ let shrink_or_kill sim (r : running) =
     with
     | Allocator.No_resize -> kill_job sim r
     | Allocator.Resized new_alloc ->
-        sim.shrunk <- sim.shrunk + 1;
+        sim.acc.shrunk <- sim.acc.shrunk + 1;
         emit sim (fun () ->
             Obs.Event.Shrink_recover
               {
@@ -926,7 +1117,7 @@ let fault_event sim (e : Trace.Faults.event) =
       (* Behaves like a release: bumps the state's release generation,
          which invalidates the no-fit memo, and may unblock the queue. *)
       Trace.Faults.revert sim.st e.target;
-      sim.pending_repairs <- sim.pending_repairs - 1;
+      sim.acc.pending_repairs <- sim.acc.pending_repairs - 1;
       emit sim (fun () ->
           Obs.Event.Repair
             {
@@ -937,7 +1128,7 @@ let fault_event sim (e : Trace.Faults.event) =
       request_pass sim
   | Trace.Faults.Fail ->
       Trace.Faults.apply sim.st e.target;
-      sim.fault_events <- sim.fault_events + 1;
+      sim.acc.fault_events <- sim.acc.fault_events + 1;
       let topo = State.topo sim.st in
       let nodes, leaf_cables, l2_cables =
         Trace.Faults.resources topo e.target
@@ -1038,7 +1229,7 @@ let cancel sim id =
     (* Dropping the generation kills the queue entry lazily, exactly
        like a requeue invalidates a backfilled job's stale entry. *)
     Hashtbl.remove sim.pending_gen id;
-    sim.cancelled <- sim.cancelled + 1;
+    sim.acc.cancelled <- sim.acc.cancelled + 1;
     (match sim.reserved with
     | Some (rid, _) when rid = id ->
         sim.reserved <- None;
@@ -1114,7 +1305,7 @@ let inject_fault sim (e : Trace.Faults.event) =
         in
         sim.dyn_faults <- e :: sim.dyn_faults;
         if e.kind = Trace.Faults.Repair then
-          sim.pending_repairs <- sim.pending_repairs + 1;
+          sim.acc.pending_repairs <- sim.acc.pending_repairs + 1;
         Sim.Engine.schedule sim.engine ~time:e.time ~priority:0
           ~tag:(Printf.sprintf "f:%d" idx)
           (fun _ -> fault_event sim e);
@@ -1123,8 +1314,8 @@ let inject_fault sim (e : Trace.Faults.event) =
 let pending_count sim = Hashtbl.length sim.pending
 let running_count sim = Hashtbl.length sim.running
 let finished_count sim = List.length sim.finished
-let cancelled_count sim = sim.cancelled
-let rejected_count sim = sim.rejected
+let cancelled_count sim = sim.acc.cancelled
+let rejected_count sim = sim.acc.rejected
 let known_job sim id = Hashtbl.mem sim.jobs_by_id id
 
 let net_summary sim =
@@ -1137,6 +1328,29 @@ let fault_log sim =
   Array.append
     (Trace.Faults.events sim.cfg.faults)
     (Array.of_list (List.rev sim.dyn_faults))
+
+(* Shared by [start] and [of_snapshot]: the run header (re-emitted on
+   restore so a trace of the resumed segment is self-describing) and the
+   profiling hook sampling the event-queue depth at every step. *)
+let announce sim =
+  emit sim (fun () ->
+      Obs.Event.Run_meta
+        {
+          trace = sim.workload.name;
+          scheme = sim.cfg.allocator.name;
+          scenario = Trace.Scenario.name sim.cfg.scenario;
+          radix = sim.cfg.radix;
+          nodes = Fattree.Topology.num_nodes (State.topo sim.st);
+          jobs = Array.length sim.workload.jobs;
+        });
+  match sim.cfg.prof with
+  | Some p ->
+      Sim.Engine.set_on_step sim.engine
+        (Some
+           (fun e ->
+             Obs.Prof.sample p "gauge/event_queue"
+               (float_of_int (Sim.Engine.pending e))))
+  | None -> ()
 
 let start cfg (w : Trace.Workload.t) =
   let topo = Fattree.Topology.of_radix cfg.radix in
@@ -1153,36 +1367,15 @@ let start cfg (w : Trace.Workload.t) =
       nofit = Hashtbl.create 64;
       nofit_release_gen = 0;
       pass_scheduled = false;
-      sched_clock = 0.0;
+      acc = Acc.create ();
       samples = [];
-      alloc_busy = 0;
-      req_busy = 0;
       finished = [];
-      last_start_time = 0.0;
-      first_start_time = -1.0;
-      first_blocked_time = -1.0;
-      rejected = 0;
       kills = Hashtbl.create 64;
-      pending_repairs =
-        Array.fold_left
-          (fun acc (e : Trace.Faults.event) ->
-            if e.kind = Trace.Faults.Repair then acc + 1 else acc)
-          0
-          (Trace.Faults.events cfg.faults);
-      fault_events = 0;
-      interrupted = 0;
-      requeued = 0;
-      abandoned = 0;
-      lost_node_time = 0.0;
-      shrunk = 0;
-      grown = 0;
-      started_total = 0;
       reserved = None;
       scratch = None;
       jobs_by_id = Hashtbl.create (max 16 (Array.length w.jobs));
       dyn_jobs = [];
       dyn_faults = [];
-      cancelled = 0;
       net =
         Option.map
           (fun (policy, shape) ->
@@ -1190,19 +1383,16 @@ let start cfg (w : Trace.Workload.t) =
           cfg.net;
     }
   in
+  sim.acc.pending_repairs <-
+    Array.fold_left
+      (fun acc (e : Trace.Faults.event) ->
+        if e.kind = Trace.Faults.Repair then acc + 1 else acc)
+      0
+      (Trace.Faults.events cfg.faults);
   Array.iter
     (fun (j : Trace.Job.t) -> Hashtbl.replace sim.jobs_by_id j.id j)
     w.jobs;
-  emit sim (fun () ->
-      Obs.Event.Run_meta
-        {
-          trace = w.name;
-          scheme = cfg.allocator.name;
-          scenario = Trace.Scenario.name cfg.scenario;
-          radix = cfg.radix;
-          nodes = Fattree.Topology.num_nodes topo;
-          jobs = Array.length w.jobs;
-        });
+  announce sim;
   Array.iter
     (fun (j : Trace.Job.t) ->
       Sim.Engine.schedule sim.engine ~time:j.arrival ~priority:1
@@ -1219,14 +1409,6 @@ let start cfg (w : Trace.Workload.t) =
         ~tag:(Printf.sprintf "f:%d" i)
         (fun _ -> fault_event sim e))
     (Trace.Faults.events cfg.faults);
-  (match cfg.prof with
-  | Some p ->
-      Sim.Engine.set_on_step sim.engine
-        (Some
-           (fun e ->
-             Obs.Prof.sample p "gauge/event_queue"
-               (float_of_int (Sim.Engine.pending e))))
-  | None -> ());
   sim
 
 let now sim = Sim.Engine.now sim.engine
@@ -1263,10 +1445,10 @@ let finish sim =
      cold-start ramp and the final drain (paper section 5).  Traces that
      never saturate fall back to the first job start. *)
   let steady_start =
-    if sim.first_blocked_time >= 0.0 then sim.first_blocked_time
-    else Float.max 0.0 sim.first_start_time
+    if sim.acc.first_blocked_time >= 0.0 then sim.acc.first_blocked_time
+    else Float.max 0.0 sim.acc.first_start_time
   in
-  let steady_end = sim.last_start_time in
+  let steady_end = sim.acc.last_start_time in
   let alloc_area = ref 0.0 and req_area = ref 0.0 and healthy_area = ref 0.0 in
   let hist = Sim.Stats.Hist.create ~boundaries:Metrics.table2_boundaries in
   let prev_t = ref steady_start
@@ -1320,7 +1502,7 @@ let finish sim =
       scenario_name = Trace.Scenario.name cfg.scenario;
       cluster_nodes = n_nodes;
       num_jobs = n_all;
-      rejected = sim.rejected;
+      rejected = sim.acc.rejected;
       stuck_pending = Hashtbl.length sim.pending;
       avg_utilization;
       alloc_utilization;
@@ -1329,18 +1511,18 @@ let finish sim =
       avg_turnaround_all = tat_all;
       avg_turnaround_large = tat_large;
       num_large = n_large;
-      sched_time_total = sim.sched_clock;
+      sched_time_total = sim.acc.sched_clock;
       sched_time_per_job =
-        (if n_all > 0 then sim.sched_clock /. float_of_int n_all else 0.0);
+        (if n_all > 0 then sim.acc.sched_clock /. float_of_int n_all else 0.0);
       steady_start;
       steady_end;
-      fault_events = sim.fault_events;
-      interrupted = sim.interrupted;
-      requeued = sim.requeued;
-      abandoned = sim.abandoned;
-      lost_node_time = sim.lost_node_time;
-      shrunk = sim.shrunk;
-      grown = sim.grown;
+      fault_events = sim.acc.fault_events;
+      interrupted = sim.acc.interrupted;
+      requeued = sim.acc.requeued;
+      abandoned = sim.acc.abandoned;
+      lost_node_time = sim.acc.lost_node_time;
+      shrunk = sim.acc.shrunk;
+      grown = sim.acc.grown;
       healthy_fraction;
       util_vs_healthy;
       series =
@@ -1368,26 +1550,13 @@ module Snapshot = struct
     rs_start : float;
     rs_end : float;
     rs_est_end : float;
-    rs_size : int;  (** The granted size ([r_alloc.size]). *)
-    rs_bw : float;
-    rs_nodes : int array;
-    rs_leaf_cables : int array;
-    rs_l2_cables : int array;
+    rs_alloc : Alloc.t;  (** [rs_alloc.size] is the granted size. *)
   }
 
   type finished_job = { fs_job : int; fs_start : float; fs_end : float }
 
   type t = {
-    (* configuration identity (sink and profiling registry excluded) *)
-    scheme : string;
-    radix : int;
-    scenario : string;
-    scenario_seed : int;
-    backfill_window : int;
-    backfill : bool;
-    resilience : resilience;
-    trace_name : string;
-    system_nodes : int;
+    params : Params.t;
     jobs : Trace.Job.t array;
     faults : Trace.Faults.event array;
     (* engine *)
@@ -1404,26 +1573,9 @@ module Snapshot = struct
     nofit_release_gen : int;
     kills : (int * int) array;  (** [(id, kills)], ascending id. *)
     reserved : (int * float) option;
-    (* accumulators *)
-    sched_clock : float;
+    acc : Acc.t;
     samples : (float * int * int * int * int) array;  (** Chronological. *)
-    alloc_busy : int;
-    req_busy : int;
     finished : finished_job array;  (** Completion order. *)
-    last_start_time : float;
-    first_start_time : float;
-    first_blocked_time : float;
-    rejected : int;
-    pending_repairs : int;
-    fault_count : int;
-    interrupted : int;
-    requeued : int;
-    abandoned : int;
-    lost_node_time : float;
-    shrunk : int;
-    grown : int;
-    started_total : int;
-    cancelled : int;
     (* state operation counters *)
     st_claims : int;
     st_releases : int;
@@ -1463,11 +1615,7 @@ let snapshot sim : Snapshot.t =
           rs_start = r.r_start;
           rs_end = r.r_end;
           rs_est_end = r.r_est_end;
-          rs_size = r.r_alloc.Alloc.size;
-          rs_bw = r.r_alloc.Alloc.bw;
-          rs_nodes = Array.copy r.r_alloc.Alloc.nodes;
-          rs_leaf_cables = Array.copy r.r_alloc.Alloc.leaf_cables;
-          rs_l2_cables = Array.copy r.r_alloc.Alloc.l2_cables;
+          rs_alloc = r.r_alloc;
         }
         :: acc)
       sim.running []
@@ -1486,15 +1634,7 @@ let snapshot sim : Snapshot.t =
     |> Array.of_list
   in
   {
-    Snapshot.scheme = sim.cfg.allocator.Allocator.name;
-    radix = sim.cfg.radix;
-    scenario = Trace.Scenario.name sim.cfg.scenario;
-    scenario_seed = sim.cfg.scenario_seed;
-    backfill_window = sim.cfg.backfill_window;
-    backfill = sim.cfg.backfill;
-    resilience = sim.cfg.resilience;
-    trace_name = sim.workload.Trace.Workload.name;
-    system_nodes = sim.workload.Trace.Workload.system_nodes;
+    Snapshot.params = Params.of_config sim.cfg sim.workload;
     jobs =
       (match sim.dyn_jobs with
       | [] -> sim.workload.Trace.Workload.jobs
@@ -1521,25 +1661,9 @@ let snapshot sim : Snapshot.t =
     nofit_release_gen = sim.nofit_release_gen;
     kills = sorted_pairs sim.kills;
     reserved = sim.reserved;
-    sched_clock = sim.sched_clock;
+    acc = Acc.copy sim.acc;
     samples = Array.of_list (List.rev sim.samples);
-    alloc_busy = sim.alloc_busy;
-    req_busy = sim.req_busy;
     finished;
-    last_start_time = sim.last_start_time;
-    first_start_time = sim.first_start_time;
-    first_blocked_time = sim.first_blocked_time;
-    rejected = sim.rejected;
-    pending_repairs = sim.pending_repairs;
-    fault_count = sim.fault_events;
-    interrupted = sim.interrupted;
-    requeued = sim.requeued;
-    abandoned = sim.abandoned;
-    lost_node_time = sim.lost_node_time;
-    shrunk = sim.shrunk;
-    grown = sim.grown;
-    started_total = sim.started_total;
-    cancelled = sim.cancelled;
     st_claims = State.claim_count sim.st;
     st_releases = State.release_count sim.st;
     st_failures = State.failure_count sim.st;
@@ -1554,28 +1678,22 @@ let restore_fail fmt =
 
 let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
   try
-    let allocator =
-      match Allocator.by_name s.scheme with
-      | Ok a -> a
-      | Error m -> restore_fail "%s" m
-    in
-    let scenario =
-      match Trace.Scenario.of_name s.scenario with
-      | Ok sc -> sc
-      | Error m -> restore_fail "%s" m
-    in
+    let p = s.params in
     let cfg =
       (* [of_ordered], not [scripted]: the array's positions are the
          [f:<idx>] event tags, and a daemon-injected event may sit after
          a static event it precedes in time — re-sorting would silently
          retarget every pending fault tag. *)
-      Config.make ~scenario ~scenario_seed:s.scenario_seed
-        ~backfill_window:s.backfill_window ~backfill:s.backfill
-        ~faults:(Trace.Faults.of_ordered (Array.to_list s.faults))
-        ~resilience:s.resilience ~sink ?prof ?net ~radix:s.radix allocator
+      match
+        Params.to_config
+          ~faults:(Trace.Faults.of_ordered (Array.to_list s.faults))
+          ~sink ?prof ?net p
+      with
+      | Ok cfg -> cfg
+      | Error m -> restore_fail "%s" m
     in
     let w =
-      Trace.Workload.create ~name:s.trace_name ~system_nodes:s.system_nodes
+      Trace.Workload.create ~name:p.trace_name ~system_nodes:p.system_nodes
         s.jobs
     in
     let job_tbl = Hashtbl.create (Array.length s.jobs) in
@@ -1585,7 +1703,7 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
       | Some j -> j
       | None -> restore_fail "checkpoint references unknown job id %d" id
     in
-    let topo = Fattree.Topology.of_radix s.radix in
+    let topo = Fattree.Topology.of_radix p.radix in
     let st = State.create topo in
     (* Rebuild the cluster state by replaying the executed fault prefix
        (all events at or before the checkpoint clock, in trace order)
@@ -1622,16 +1740,7 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
     Array.iter
       (fun (r : Snapshot.running_job) ->
         let j = find_job r.rs_job in
-        let alloc =
-          {
-            Alloc.job = r.rs_job;
-            size = r.rs_size;
-            nodes = r.rs_nodes;
-            leaf_cables = r.rs_leaf_cables;
-            l2_cables = r.rs_l2_cables;
-            bw = r.rs_bw;
-          }
-        in
+        let alloc = r.rs_alloc in
         (match State.claim_exn ~validate:false st alloc with
         | () -> ()
         | exception e ->
@@ -1682,10 +1791,8 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
         nofit = Hashtbl.create 64;
         nofit_release_gen = s.nofit_release_gen;
         pass_scheduled = false;
-        sched_clock = s.sched_clock;
+        acc = Acc.copy s.acc;
         samples = List.rev (Array.to_list s.samples);
-        alloc_busy = s.alloc_busy;
-        req_busy = s.req_busy;
         finished =
           Array.fold_left
             (fun acc (f : Snapshot.finished_job) ->
@@ -1696,26 +1803,12 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
               }
               :: acc)
             [] s.finished;
-        last_start_time = s.last_start_time;
-        first_start_time = s.first_start_time;
-        first_blocked_time = s.first_blocked_time;
-        rejected = s.rejected;
         kills = Hashtbl.create 64;
-        pending_repairs = s.pending_repairs;
-        fault_events = s.fault_count;
-        interrupted = s.interrupted;
-        requeued = s.requeued;
-        abandoned = s.abandoned;
-        lost_node_time = s.lost_node_time;
-        shrunk = s.shrunk;
-        grown = s.grown;
-        started_total = s.started_total;
         reserved = s.reserved;
         scratch = None;
         jobs_by_id = job_tbl;
         dyn_jobs = [];
         dyn_faults = [];
-        cancelled = s.cancelled;
         net = net_state;
       }
     in
@@ -1764,27 +1857,9 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
         | () -> ()
         | exception Invalid_argument m -> restore_fail "%s" m)
       s.events;
-    (match prof with
-    | Some p ->
-        Sim.Engine.set_on_step sim.engine
-          (Some
-             (fun e ->
-               Obs.Prof.sample p "gauge/event_queue"
-                 (float_of_int (Sim.Engine.pending e))))
-    | None -> ());
-    (* Re-emit the run header so a trace of the resumed segment is
-       self-describing; emission never touches simulator state, so
-       metrics are unaffected. *)
-    emit sim (fun () ->
-        Obs.Event.Run_meta
-          {
-            trace = w.name;
-            scheme = cfg.allocator.Allocator.name;
-            scenario = Trace.Scenario.name cfg.scenario;
-            radix = cfg.radix;
-            nodes = Fattree.Topology.num_nodes topo;
-            jobs = Array.length w.jobs;
-          });
+    (* Emission never touches simulator state, so metrics are
+       unaffected. *)
+    announce sim;
     Ok sim
   with
   | Restore_error m -> Error m

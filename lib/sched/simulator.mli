@@ -111,24 +111,73 @@ module Config : sig
       on, no faults, {!no_resilience}, null sink, no profiling, no
       network telemetry. *)
 
-  val with_allocator : Allocator.t -> t -> t
-  val with_radix : int -> t -> t
   val with_scenario : Trace.Scenario.t -> t -> t
-  val with_scenario_seed : int -> t -> t
   val with_backfill_window : int -> t -> t
   val with_backfill : bool -> t -> t
-  val with_faults : Trace.Faults.t -> t -> t
-  val with_resilience : resilience -> t -> t
   val with_sink : Obs.Sink.t -> t -> t
   val with_prof : Obs.Prof.t option -> t -> t
-
-  val with_net :
-    (Routing.Telemetry.policy * Routing.Telemetry.shape) option -> t -> t
 end
 
-val default_config : Allocator.t -> radix:int -> config
-(** Thin alias for [Config.make ~radix allocator] — behaviourally
-    identical to the pre-fault simulator. *)
+(** The serializable configuration identity: the part of a {!config}
+    that names behaviour (sink, profiling, telemetry and the fault trace
+    excluded), plus the workload's name and size.  Checkpoint headers
+    and daemon WAL headers both carry it through {!to_fields}. *)
+module Params : sig
+  (** The record alone, so [Svc.Core] can re-export it with its labels
+      by [include]. *)
+  module Record : sig
+    type params = {
+      scheme : string;  (** An {!Allocator.by_name} name. *)
+      radix : int;
+      scenario : string;  (** A [Trace.Scenario.of_name] name. *)
+      scenario_seed : int;
+      backfill_window : int;
+      backfill : bool;
+      resilience : resilience;
+      trace_name : string;
+      system_nodes : int;
+    }
+  end
+
+  include module type of struct
+    include Record
+  end
+
+  type t = params
+
+  val to_fields : t -> (string * Obs.Json.value) list
+  (** Flat JSON fields; [shrink] is written only when set, so configs of
+      rigid runs read the same as before molding existed. *)
+
+  val of_fields : (string * Obs.Json.value) list -> (t, string) result
+  (** Inverse of {!to_fields}; an absent [shrink] reads as [false]. *)
+
+  val to_config :
+    ?faults:Trace.Faults.t ->
+    ?sink:Obs.Sink.t ->
+    ?prof:Obs.Prof.t ->
+    ?net:Routing.Telemetry.policy * Routing.Telemetry.shape ->
+    t ->
+    (config, string) result
+  (** Resolve the scheme and scenario by name.  [Error] on an unknown
+      name or a negative [system_nodes]. *)
+end
+
+(** The run's scalar accumulators (scheduling clock, busy counts,
+    fault and molding tallies, ...), held by a live simulation and
+    copied into each {!Snapshot.t}. *)
+module Acc : sig
+  type t
+
+  val to_fields : t -> (string * Obs.Json.value) list
+  (** One field per accumulator, in a fixed order. *)
+
+  val of_fields : (string * Obs.Json.value) list -> t
+  (** Inverse of {!to_fields}.  The counters molding and the daemon
+      introduced ([shrunk], [grown], [cancelled]) read as 0 when absent;
+      every other key is required.  Raises [Obs.Json.Parse_error] on a
+      missing or mistyped key. *)
+end
 
 val reservation :
   Allocator.t ->
@@ -297,25 +346,14 @@ module Snapshot : sig
     rs_start : float;
     rs_end : float;
     rs_est_end : float;
-    rs_size : int;  (** The {e granted} size ([alloc.size]). *)
-    rs_bw : float;
-    rs_nodes : int array;
-    rs_leaf_cables : int array;
-    rs_l2_cables : int array;
+    rs_alloc : Fattree.Alloc.t;
+        (** [rs_alloc.size] is the {e granted} size. *)
   }
 
   type finished_job = { fs_job : int; fs_start : float; fs_end : float }
 
   type t = {
-    scheme : string;
-    radix : int;
-    scenario : string;
-    scenario_seed : int;
-    backfill_window : int;
-    backfill : bool;
-    resilience : resilience;
-    trace_name : string;
-    system_nodes : int;
+    params : Params.t;
     jobs : Trace.Job.t array;
     faults : Trace.Faults.event array;
     clock : float;
@@ -330,25 +368,9 @@ module Snapshot : sig
     nofit_release_gen : int;
     kills : (int * int) array;  (** [(id, kills)], ascending id. *)
     reserved : (int * float) option;
-    sched_clock : float;
+    acc : Acc.t;  (** A copy: the live run keeps mutating its own. *)
     samples : (float * int * int * int * int) array;  (** Chronological. *)
-    alloc_busy : int;
-    req_busy : int;
     finished : finished_job array;  (** Completion order. *)
-    last_start_time : float;
-    first_start_time : float;
-    first_blocked_time : float;
-    rejected : int;
-    pending_repairs : int;
-    fault_count : int;
-    interrupted : int;
-    requeued : int;
-    abandoned : int;
-    lost_node_time : float;
-    shrunk : int;
-    grown : int;
-    started_total : int;
-    cancelled : int;
     st_claims : int;
     st_releases : int;
     st_failures : int;

@@ -25,19 +25,13 @@ type cell = {
           stale if fields are mutated by record update. *)
   label : string;  (** ["trace/scheme"] by default; shown by the CLI. *)
   workload : Trace.Workload.t;
-  radix : int;
-  allocator : Allocator.t;
-  scenario : Trace.Scenario.t;
-  scenario_seed : int;
-  backfill_window : int;
-  backfill : bool;
-  faults : Trace.Faults.t;
-  resilience : Simulator.resilience;
+  config : Simulator.config;
+      (** Its sink and profiling registry are ignored: {!run_cell}
+          traces to {!Obs.Sink.null} and profiles per [profile].
+          Network telemetry ([config.net]) is a pure observer — it never
+          changes the metrics fingerprint — so it is deliberately {e not}
+          part of {!cell_id}. *)
   profile : bool;  (** Give the cell its own registry. *)
-  net : (Routing.Telemetry.policy * Routing.Telemetry.shape) option;
-      (** Network telemetry for the cell ([None]: off).  Telemetry is a
-          pure observer — it never changes the metrics fingerprint — so
-          it is deliberately {e not} part of {!cell_id}. *)
 }
 
 val cell_id : cell -> string
@@ -51,22 +45,9 @@ val cell_id : cell -> string
     fingerprint listings are indexed by it. *)
 
 val cell :
-  ?label:string ->
-  ?scenario:Trace.Scenario.t ->
-  ?scenario_seed:int ->
-  ?backfill_window:int ->
-  ?backfill:bool ->
-  ?faults:Trace.Faults.t ->
-  ?resilience:Simulator.resilience ->
-  ?profile:bool ->
-  ?net:Routing.Telemetry.policy * Routing.Telemetry.shape ->
-  radix:int ->
-  Allocator.t ->
-  Trace.Workload.t ->
-  cell
-(** Defaults mirror {!Simulator.default_config}: scenario [No_speedup],
-    seed 1, window 50, backfilling on, no faults, no resilience, no
-    profiling.  The [id] field is filled in from the other fields. *)
+  ?label:string -> ?profile:bool -> Simulator.config -> Trace.Workload.t -> cell
+(** No profiling by default.  The [id] field is filled in from the other
+    fields. *)
 
 type result = {
   metrics : Metrics.t;

@@ -18,64 +18,11 @@
    must happen at admission. *)
 
 let num_i i = Obs.Json.Num (float_of_int i)
-let num_b b = Obs.Json.Num (if b then 1.0 else 0.0)
 
-type params = {
-  scheme : string;
-  radix : int;
-  scenario : string;
-  scenario_seed : int;
-  backfill_window : int;
-  backfill : bool;
-  resilience : Sched.Simulator.resilience;
-  trace_name : string;
-  system_nodes : int;
-}
+include Sched.Simulator.Params.Record
 
-let params_to_fields p =
-  [
-    ("scheme", Obs.Json.Str p.scheme);
-    ("radix", num_i p.radix);
-    ("scenario", Obs.Json.Str p.scenario);
-    ("scenario_seed", num_i p.scenario_seed);
-    ("backfill_window", num_i p.backfill_window);
-    ("backfill", num_b p.backfill);
-    ("requeue", num_b p.resilience.requeue);
-    ("resubmit_delay", Obs.Json.Num p.resilience.resubmit_delay);
-    ("max_retries", num_i p.resilience.max_retries);
-    ("charge_lost_work", num_b p.resilience.charge_lost_work);
-  ]
-  @ (if p.resilience.shrink then [ ("shrink", num_b true) ] else [])
-  @ [
-    ("trace_name", Obs.Json.Str p.trace_name);
-    ("system_nodes", num_i p.system_nodes);
-  ]
-
-let params_of_fields fields =
-  try
-    Ok
-      {
-        scheme = Obs.Json.str fields "scheme";
-        radix = Obs.Json.int fields "radix";
-        scenario = Obs.Json.str fields "scenario";
-        scenario_seed = Obs.Json.int fields "scenario_seed";
-        backfill_window = Obs.Json.int fields "backfill_window";
-        backfill = Obs.Json.int fields "backfill" <> 0;
-        resilience =
-          {
-            requeue = Obs.Json.int fields "requeue" <> 0;
-            resubmit_delay = Obs.Json.num fields "resubmit_delay";
-            max_retries = Obs.Json.int fields "max_retries";
-            charge_lost_work = Obs.Json.int fields "charge_lost_work" <> 0;
-            (* Absent in configs written before molding existed. *)
-            shrink =
-              Obs.Json.mem fields "shrink"
-              && Obs.Json.int fields "shrink" <> 0;
-          };
-        trace_name = Obs.Json.str fields "trace_name";
-        system_nodes = Obs.Json.int fields "system_nodes";
-      }
-  with Obs.Json.Parse_error m -> Error ("bad config fields: " ^ m)
+let params_to_fields = Sched.Simulator.Params.to_fields
+let params_of_fields = Sched.Simulator.Params.of_fields
 
 type t = {
   sim : Sched.Simulator.t;
@@ -131,39 +78,12 @@ let of_sim ~params ~last_seq sim =
   t
 
 let create ?sink ?prof p =
-  match Sched.Allocator.by_name p.scheme with
-  | Error m -> Error m
-  | Ok allocator -> (
-      match Trace.Scenario.of_name p.scenario with
-      | Error m -> Error m
-      | Ok scenario ->
-          if p.system_nodes < 0 then Error "system_nodes must be non-negative"
-          else
-            let config =
-              Sched.Simulator.Config.make ~scenario
-                ~scenario_seed:p.scenario_seed
-                ~backfill_window:p.backfill_window ~backfill:p.backfill
-                ~resilience:p.resilience ?sink ?prof ~radix:p.radix allocator
-            in
-            let workload =
-              Trace.Workload.create ~name:p.trace_name
-                ~system_nodes:p.system_nodes [||]
-            in
-            Ok (of_sim ~params:p ~last_seq:(-1)
-                  (Sched.Simulator.start config workload)))
-
-let params_of_snapshot (s : Sched.Simulator.Snapshot.t) =
-  {
-    scheme = s.scheme;
-    radix = s.radix;
-    scenario = s.scenario;
-    scenario_seed = s.scenario_seed;
-    backfill_window = s.backfill_window;
-    backfill = s.backfill;
-    resilience = s.resilience;
-    trace_name = s.trace_name;
-    system_nodes = s.system_nodes;
-  }
+  Sched.Simulator.Params.to_config ?sink ?prof p
+  |> Result.map (fun config ->
+         Trace.Workload.create ~name:p.trace_name ~system_nodes:p.system_nodes
+           [||]
+         |> Sched.Simulator.start config
+         |> of_sim ~params:p ~last_seq:(-1))
 
 let of_checkpoint ?sink ?prof ~path () =
   match Sched.Checkpoint.load_ext ~path with
@@ -180,7 +100,7 @@ let of_checkpoint ?sink ?prof ~path () =
           match Sched.Simulator.of_snapshot ?sink ?prof snap with
           | Error m -> Error m
           | Ok sim ->
-              Ok (of_sim ~params:(params_of_snapshot snap) ~last_seq sim)))
+              Ok (of_sim ~params:snap.params ~last_seq sim)))
 
 let checkpoint t ~path =
   match t.drained with
@@ -443,7 +363,7 @@ let status t =
     ("finished", num_i (Sched.Simulator.finished_count sim));
     ("cancelled", num_i (Sched.Simulator.cancelled_count sim));
     ("rejected", num_i (Sched.Simulator.rejected_count sim));
-    ("drained", num_b (t.drained <> None));
+    ("drained", num_i (Bool.to_int (t.drained <> None)));
   ]
 
 let advance t upto =

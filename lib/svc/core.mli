@@ -13,20 +13,13 @@
     - {!fields_of_op}/{!op_of_fields} are the WAL encoding, exact dual
       of each other. *)
 
-(** Simulation configuration, embedded in WAL segment headers and
-    recovered from checkpoint snapshots; the daemon cross-checks the two
-    sources at startup. *)
-type params = {
-  scheme : string;
-  radix : int;
-  scenario : string;
-  scenario_seed : int;
-  backfill_window : int;
-  backfill : bool;
-  resilience : Sched.Simulator.resilience;
-  trace_name : string;
-  system_nodes : int;
-}
+(** Simulation configuration ({!Sched.Simulator.Params}, re-exported
+    with its labels), embedded in WAL segment headers and recovered from
+    checkpoint snapshots; the daemon cross-checks the two sources at
+    startup. *)
+include module type of struct
+  include Sched.Simulator.Params.Record
+end
 
 val params_to_fields : params -> (string * Obs.Json.value) list
 val params_of_fields : (string * Obs.Json.value) list -> (params, string) result

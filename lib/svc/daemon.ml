@@ -431,13 +431,14 @@ let exec st c line =
                   match Core.admit st.core ~stamp req with
                   | Error m -> invalid m
                   | Ok op ->
-                      let t0 = Unix.gettimeofday () in
-                      let seq =
-                        Wal.append st.wal (Core.fields_of_op ~stamp ~rid op)
+                      let seq, fields =
+                        Obs.Prof.time st.prof "svc/apply" (fun () ->
+                            let seq =
+                              Wal.append st.wal
+                                (Core.fields_of_op ~stamp ~rid op)
+                            in
+                            (seq, Core.apply st.core ~seq ~rid ~stamp op))
                       in
-                      let fields = Core.apply st.core ~seq ~rid ~stamp op in
-                      Obs.Prof.record_span st.prof "svc/apply"
-                        (Unix.gettimeofday () -. t0);
                       Obs.Prof.incr st.prof "svc/applied";
                       st.ops_since_ckpt <- st.ops_since_ckpt + 1;
                       send st c

@@ -159,6 +159,63 @@ let test_snapshot_file_identity () =
       | Ok s' ->
           if s <> s' then Alcotest.fail "snapshot changed across save/load")
 
+(* Files written by an earlier build, and the fingerprint that build
+   recorded for resuming each one: a faulted moldable TA run
+   checkpointed mid-flight (after a shrink recovery, a kill and 67
+   grows, with a twice-resized job running), and a rigid Jigsaw run
+   rewritten as a version-1 file (version field 1, none of the counters
+   molding or the daemon introduced, trailer recomputed). *)
+let fixtures =
+  [
+    ("fixtures/moldable-faulted.ckpt", "f7a33f35a4cc3372a9dfb898e73a0965");
+    ("fixtures/rigid-v1.ckpt", "e9b13de7446f90b5aa9c9afac3f96753");
+  ]
+
+let finish_fingerprint = function
+  | Error m -> Alcotest.failf "restore: %s" m
+  | Ok sim ->
+      let m, _ = Sched.Simulator.finish sim in
+      Sched.Metrics.fingerprint m
+
+let test_fixtures_resume () =
+  List.iter
+    (fun (path, expected) ->
+      Alcotest.(check string)
+        path expected
+        (finish_fingerprint (Sched.Checkpoint.restore ~path ()));
+      (* Re-saved in the current format, the snapshot reads back equal. *)
+      match Sched.Checkpoint.load ~path with
+      | Error m -> Alcotest.failf "%s: %s" path m
+      | Ok s ->
+          with_temp (fun tmp ->
+              Sched.Checkpoint.save ~path:tmp s;
+              match Sched.Checkpoint.load ~path:tmp with
+              | Error m -> Alcotest.failf "%s re-saved: %s" path m
+              | Ok s' ->
+                  if s <> s' then
+                    Alcotest.failf "%s changed across re-save" path))
+    fixtures
+
+let test_snapshot_restores_independently () =
+  (* The snapshot holds its own copy of the run's accumulators: the live
+     run going on, and each of two restores of the same snapshot, must
+     all leave the others untouched. *)
+  let w = Lazy.force workload in
+  let c =
+    cfg
+      ~faults:(Lazy.force scripted_faults)
+      ~resilience:requeue_policy Sched.Allocator.jigsaw
+  in
+  let sim = Sched.Simulator.start c w in
+  Sched.Simulator.run_until sim 950.0;
+  let s = Sched.Simulator.snapshot sim in
+  let live, _ = Sched.Simulator.finish sim in
+  let expected = Sched.Metrics.fingerprint live in
+  Alcotest.(check string) "first restore" expected
+    (finish_fingerprint (Sched.Simulator.of_snapshot s));
+  Alcotest.(check string) "second restore" expected
+    (finish_fingerprint (Sched.Simulator.of_snapshot s))
+
 let expect_error what = function
   | Ok _ -> Alcotest.failf "%s: corrupted checkpoint accepted" what
   | Error _ -> ()
@@ -223,11 +280,15 @@ let small_cells () =
     Trace.Synthetic.synth ~mean_size:8 ~n_jobs:40 ~seed:9 ~max_size:128
   in
   [|
-    Sched.Sweep.cell ~radix Sched.Allocator.baseline w1;
-    Sched.Sweep.cell ~radix Sched.Allocator.jigsaw w1;
-    Sched.Sweep.cell ~profile:true ~radix Sched.Allocator.baseline w2;
-    Sched.Sweep.cell ~faults:(Lazy.force scripted_faults)
-      ~resilience:requeue_policy ~radix Sched.Allocator.jigsaw w2;
+    Sched.Sweep.cell (Sched.Simulator.Config.make ~radix Sched.Allocator.baseline) w1;
+    Sched.Sweep.cell (Sched.Simulator.Config.make ~radix Sched.Allocator.jigsaw) w1;
+    Sched.Sweep.cell ~profile:true
+      (Sched.Simulator.Config.make ~radix Sched.Allocator.baseline)
+      w2;
+    Sched.Sweep.cell
+      (Sched.Simulator.Config.make ~faults:(Lazy.force scripted_faults)
+         ~resilience:requeue_policy ~radix Sched.Allocator.jigsaw)
+      w2;
   |]
 
 let test_cell_ids () =
@@ -241,8 +302,9 @@ let test_cell_ids () =
   let c = cells.(3) in
   let again =
     Sched.Sweep.cell ~label:"something else" ~profile:true
-      ~faults:(Lazy.force scripted_faults) ~resilience:requeue_policy ~radix
-      Sched.Allocator.jigsaw c.workload
+      (Sched.Simulator.Config.make ~faults:(Lazy.force scripted_faults)
+         ~resilience:requeue_policy ~radix Sched.Allocator.jigsaw)
+      c.workload
   in
   Alcotest.(check string) "id stable" c.id again.id;
   Alcotest.(check string) "id recomputable" c.id (Sched.Sweep.cell_id c);
@@ -346,6 +408,10 @@ let suite =
       test_chained_checkpoints;
     Alcotest.test_case "save/load is the identity" `Quick
       test_snapshot_file_identity;
+    Alcotest.test_case "earlier builds' checkpoints resume" `Quick
+      test_fixtures_resume;
+    Alcotest.test_case "one snapshot restores twice" `Quick
+      test_snapshot_restores_independently;
     Alcotest.test_case "corruption fails loudly" `Quick
       test_corruption_fails_loudly;
     Alcotest.test_case "cell ids stable and distinct" `Quick test_cell_ids;

@@ -215,7 +215,7 @@ let test_null_sink_changes_nothing () =
       List.iter
         (fun alloc ->
           let cfg =
-            Sched.Simulator.default_config alloc ~radix:entry.cluster_radix
+            Sched.Simulator.Config.make ~radix:entry.cluster_radix alloc
           in
           let plain = Sched.Simulator.run cfg w in
           let sink, _ = Obs.Sink.memory () in

@@ -793,6 +793,86 @@ let test_daemon_rid_dedup () =
         (Obs.Json.num st "seq");
       Unix.close fd)
 
+let test_apply_span_unit () =
+  (* [svc/apply] is a nanosecond span like every other: one journaled
+     submit (an fsync'd WAL append plus the apply) takes well over a
+     microsecond.  The daemon runs in this process so its registry can
+     be read; a forked child is the client. *)
+  let p = params () in
+  with_tmpdir (fun dir ->
+      let sock = Filename.concat dir "s" in
+      let parent = Unix.getpid () in
+      match Unix.fork () with
+      | 0 ->
+          (try
+             let fd = connect sock in
+             let read = line_reader fd in
+             ignore (rpc fd read "{\"op\":\"submit\",\"size\":4,\"runtime\":100}");
+             ignore (rpc fd read "{\"op\":\"shutdown\"}")
+           with _ -> Unix.kill parent Sys.sigterm);
+          Unix._exit 0
+      | pid ->
+          let prof = Obs.Prof.create () in
+          let opts =
+            {
+              (Svc.Daemon.default_opts ~socket:sock
+                 ~dir:(Filename.concat dir "state"))
+              with
+              params = Some p;
+            }
+          in
+          let saved =
+            List.map (fun s -> (s, Sys.signal s Sys.Signal_default))
+              [ Sys.sigterm; Sys.sigint ]
+          in
+          let r =
+            Fun.protect
+              ~finally:(fun () ->
+                List.iter (fun (s, h) -> Sys.set_signal s h) saved;
+                ignore (Unix.waitpid [] pid))
+              (fun () -> Svc.Daemon.run ~prof opts)
+          in
+          (match r with Ok () -> () | Error m -> Alcotest.failf "run: %s" m);
+          match Obs.Prof.find_span prof "svc/apply" with
+          | None -> Alcotest.fail "no svc/apply span"
+          | Some v ->
+              Alcotest.(check int) "one apply" 1 v.sp_count;
+              if v.sp_total_ns < 1000.0 then
+                Alcotest.failf "svc/apply total %g ns is under 1 us"
+                  v.sp_total_ns)
+
+(* A state directory written by an earlier build's daemon (two
+   checkpoints, WAL segments past the newer one, never drained), and
+   the fingerprint that build recorded after recovering it and
+   draining. *)
+let test_daemon_state_fixture () =
+  with_tmpdir (fun dir ->
+      let src = "fixtures/daemon-state" in
+      Array.iter
+        (fun name ->
+          let data =
+            In_channel.with_open_bin (Filename.concat src name)
+              In_channel.input_all
+          in
+          Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+              Out_channel.output_string oc data))
+        (Sys.readdir src);
+      match Svc.Daemon.recover ~dir () with
+      | Error m -> Alcotest.failf "recover: %s" m
+      | Ok (core, wal, _report) -> (
+          Alcotest.(check int) "last applied seq" 14 (Svc.Core.last_seq core);
+          let stamp = Svc.Core.now core in
+          match Svc.Core.admit core ~stamp Svc.Protocol.Drain with
+          | Error m -> Alcotest.failf "drain: %s" m
+          | Ok op ->
+              let seq =
+                Svc.Wal.append wal (Svc.Core.fields_of_op ~stamp ~rid:None op)
+              in
+              ignore (Svc.Core.apply core ~seq ~rid:None ~stamp op);
+              Svc.Wal.close wal;
+              Alcotest.(check string) "drained fingerprint"
+                "789b7934cc99e36a8a90b4c1cd7b4952" (drained_fingerprint core)))
+
 (* ------------------------------------------------------------------ *)
 (* Sweep interruption                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -802,7 +882,7 @@ let test_sweep_interrupt_resume () =
   let cells =
     Array.of_list
       (List.map
-         (fun a -> Sched.Sweep.cell ~radix a w)
+         (fun a -> Sched.Sweep.cell (Sched.Simulator.Config.make ~radix a) w)
          Sched.Allocator.all)
   in
   let fresh = Sched.Sweep.run ~jobs:1 cells in
@@ -860,6 +940,9 @@ let suite =
     Alcotest.test_case "daemon rejects oversize line" `Quick
       test_daemon_rejects_oversize_line;
     Alcotest.test_case "daemon rid dedup" `Quick test_daemon_rid_dedup;
+    Alcotest.test_case "svc/apply span in ns" `Quick test_apply_span_unit;
+    Alcotest.test_case "earlier build's state dir recovers" `Quick
+      test_daemon_state_fixture;
     Alcotest.test_case "sweep interrupt + resume" `Quick
       test_sweep_interrupt_resume;
   ]
