@@ -2,7 +2,7 @@
    evaluation (Smith & Lowenthal, HPDC'21), plus a Bechamel micro-suite
    for allocator latency.
 
-   Usage:   dune exec bench/main.exe [-- table1 fig6 table2 fig7 fig8 table3 micro json ablation]
+   Usage:   dune exec bench/main.exe [-- table1 fig6 table2 fig7 fig8 table3 micro ablation]
    Default (no args): everything, in paper order.
    REPRO_FULL=1 switches to paper-scale traces (much slower).
 
@@ -10,17 +10,6 @@
    for recorded paper-vs-measured results. *)
 
 let full = match Sys.getenv_opt "REPRO_FULL" with Some "1" -> true | _ -> false
-
-(* BENCH_SCALE=N overrides the large radix of the json target's "scale"
-   section (default: the preset scale tier's radix, 48).  Must be even
-   and >= 8; anything else falls back to the default. *)
-let scale_radix =
-  match Sys.getenv_opt "BENCH_SCALE" with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some r when r >= 8 && r mod 2 = 0 -> r
-      | _ -> Trace.Presets.scale_radix)
-  | None -> Trace.Presets.scale_radix
 
 let section title =
   Format.printf "@.=== %s ===@.@." title
@@ -441,594 +430,6 @@ let micro () =
     groups
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_0006.json: machine-readable perf trajectory across PRs.       *)
-(* ------------------------------------------------------------------ *)
-
-(* Emits allocator micro-latencies (mean try_alloc on a busy radix-24
-   cluster), a "scale" section repeating the same probes on a radix-48
-   cluster (sizes scaled by the pod-size ratio, so each class keeps its
-   meaning), bitset iteration micro-latencies, per-trace scheduler
-   costs for the Table 3 traces, a per-scheme profile (probe outcome
-   counters incl. memo hit rate, state clone/claim tallies, span
-   totals) from an instrumented Synth-16 run, and a parallel-sweep
-   section (serial vs 1/2/4/8-domain wall-clock over the full
-   preset x scheme grid, with a fingerprint cross-check), and a "net"
-   section racing every scheme x routing policy with live network
-   telemetry (peak/mean channel load, shared channels, interfered
-   flows, pigeonhole lower bound) plus the telemetry on/off overhead
-   and per-event route/retract span costs, so regressions show up as
-   a diff of this file rather than a human re-reading bench output.
-   New this revision: a "molding" section racing moldable Jigsaw
-   against rigid on every Table 3 trace (with live telemetry, so the
-   interference-free headline is re-checked under molding) plus a
-   shrink-vs-kill fault recovery comparison, each with built-in
-   regression guards.  Traces are truncated in default mode to
-   keep the target in the ~minute range; REPRO_FULL=1 uses paper
-   scale.  BENCH_SCALE=N overrides the scale section's large radix. *)
-
-let bench_json_file = "BENCH_0006.json"
-
-let bench_json () =
-  section (Printf.sprintf "%s (machine-readable perf trajectory)" bench_json_file);
-  let radix = 24 and target = 0.8 in
-  let st = load_cluster ~radix ~seed:77 ~target in
-  let mean_try_alloc_ns ?(iters = 200) st (a : Sched.Allocator.t) size =
-    let job = Trace.Job.v ~id:999_999 ~size ~runtime:100.0 () in
-    for _ = 1 to 5 do
-      ignore (a.try_alloc st job)
-    done;
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (a.try_alloc st job)
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
-  in
-  let classes = [ ("leaf", 6); ("pod", 40); ("multi-pod", 200) ] in
-  let micro_rows =
-    List.concat_map
-      (fun (label, size) ->
-        List.map
-          (fun (a : Sched.Allocator.t) ->
-            (a.name, label, size, mean_try_alloc_ns st a size))
-          Sched.Allocator.all)
-      classes
-  in
-  (* The scale section: the same probe classes on a radix-48 cluster
-     loaded the same way, request sizes multiplied by the pod-size
-     ratio ((48/24)^2 = 4) so "pod" still means roughly a quarter pod
-     and "multi-pod" still spans pods.  Fewer timing iterations — the
-     large machine's probes are individually slower and this section
-     tracks scaling trends, not ns-level noise. *)
-  let scale_rows =
-    Format.printf "  loading radix-%d cluster for the scale section...@."
-      scale_radix;
-    let st_l = load_cluster ~radix:scale_radix ~seed:77 ~target in
-    let ratio =
-      max 1 (scale_radix * scale_radix / (radix * radix))
-    in
-    List.concat_map
-      (fun (label, size) ->
-        let size_l = size * ratio in
-        List.map
-          (fun (a : Sched.Allocator.t) ->
-            let small_ns =
-              let _, _, _, ns =
-                List.find
-                  (fun (n, l, _, _) -> n = a.name && l = label)
-                  micro_rows
-              in
-              ns
-            in
-            let large_ns = mean_try_alloc_ns ~iters:50 st_l a size_l in
-            (a.name, label, size_l, small_ns, large_ns))
-          Sched.Allocator.all)
-      classes
-  in
-  (* Bitset iteration: the word-skipping [iter_set] against the per-bit
-     membership loop it replaced; ns per full 4096-bit pass. *)
-  let bitset_rows =
-    let n = 4096 in
-    List.map
-      (fun (label, density) ->
-        let b = Sim.Bitset.create n in
-        let prng = Sim.Prng.create ~seed:42 in
-        for i = 0 to n - 1 do
-          if Sim.Prng.float prng ~bound:1.0 < density then Sim.Bitset.add b i
-        done;
-        let sink = ref 0 in
-        let timed f =
-          for _ = 1 to 50 do f () done;
-          let iters = 2_000 in
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to iters do f () done;
-          (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
-        in
-        let mem_ns =
-          timed (fun () ->
-              sink := 0;
-              for i = 0 to n - 1 do
-                if Sim.Bitset.mem b i then sink := !sink + i
-              done)
-        in
-        let iter_ns =
-          timed (fun () ->
-              sink := 0;
-              Sim.Bitset.iter_set b ~f:(fun i -> sink := !sink + i))
-        in
-        (label, density, mem_ns, iter_ns))
-      [ ("sparse2%", 0.02); ("half", 0.5); ("dense98%", 0.98) ]
-  in
-  (* Regression guard for the dense-set fix: word-skipping iteration
-     must never lose to the per-bit membership loop it replaced, even
-     at 98% density where nearly every bit is set and the word walk
-     degenerates to a straight bit loop.  Timings on a busy host are
-     noisy, so allow a small tolerance before declaring a regression. *)
-  List.iter
-    (fun (label, _, mem_ns, iter_ns) ->
-      if label = "dense98%" && iter_ns > mem_ns *. 1.15 then
-        failwith
-          (Printf.sprintf
-             "bitset regression: iter_set slower than mem loop on %s (%.1f vs %.1f ns/pass)"
-             label iter_ns mem_ns))
-    bitset_rows;
-  let entries =
-    [
-      Trace.Presets.synth_16 ~full;
-      Trace.Presets.sep_cab ~full;
-      Trace.Presets.thunder ~full;
-      Trace.Presets.synth_28 ~full;
-    ]
-    |> List.map (sweep_entry ~cap:1_500)
-  in
-  prewarm
-    (List.concat_map
-       (fun e ->
-         List.map (fun a -> (e, a, no_speedup)) Sched.Allocator.all)
-       entries);
-  let trace_rows =
-    List.concat_map
-      (fun (e : Trace.Presets.entry) ->
-        List.map
-          (fun (a : Sched.Allocator.t) ->
-            let m = run_sim e a in
-            ( e.workload.Trace.Workload.name,
-              Trace.Workload.num_jobs e.workload,
-              a.name,
-              m.sched_time_per_job,
-              m.avg_utilization ))
-          Sched.Allocator.all)
-      entries
-  in
-  (* Per-scheme scheduling profile on one representative trace: probe
-     outcomes (memo hit rate), state operation tallies (clones, claims)
-     and span totals.  A dedicated instrumented run per scheme, outside
-     the shared cache, so the timing rows above stay un-instrumented. *)
-  let profile_entry = sweep_entry ~cap:1_500 (Trace.Presets.synth_16 ~full) in
-  let profile_rows =
-    (* Each scheme's cell profiles into its own registry (Obs.Prof is
-       single-writer); the coordinator reads them after the pool joins. *)
-    let cells =
-      List.map
-        (fun a ->
-          Sched.Sweep.cell ~profile:true
-            (Sched.Simulator.Config.make ~radix:profile_entry.cluster_radix a)
-            profile_entry.workload)
-        Sched.Allocator.all
-      |> Array.of_list
-    in
-    let results = Sched.Sweep.run ~jobs:bench_jobs cells in
-    List.mapi
-      (fun i (a : Sched.Allocator.t) ->
-        let p = Option.get results.(i).Sched.Sweep.prof in
-        let c = Obs.Prof.counter p in
-        let probes =
-          c "probe/fit" + c "probe/infeasible" + c "probe/exhausted"
-          + c "probe/memo_hit"
-        in
-        let memo_rate =
-          if probes = 0 then 0.0
-          else float_of_int (c "probe/memo_hit") /. float_of_int probes
-        in
-        let b = Buffer.create 1024 in
-        Obs.Prof.write_json b p;
-        (a.name, memo_rate, Buffer.contents b))
-      Sched.Allocator.all
-  in
-  (* The net section: every Table 3 trace raced across every scheme x
-     routing policy with live flow telemetry.  All-to-all traffic on
-     the radix-16 trace; ring on the larger machines, where a single
-     1000+-node job's all-to-all set is a million flows and would
-     drown the race in routing work the congestion counters do not
-     need (ring exercises the identical add/remove/index paths at
-     O(k) flows per job).  Two built-in regression guards: the
-     paper's headline — Jigsaw allocations routed over their own
-     cables never interfere — and the pigeonhole invariant that no
-     routing's peak max channel load can undercut the incremental
-     lower bound. *)
-  let net_shape_for (e : Trace.Presets.entry) =
-    if e.cluster_radix <= 16 then Routing.Telemetry.Alltoall
-    else Routing.Telemetry.Ring
-  in
-  let net_combos =
-    List.concat_map
-      (fun (e : Trace.Presets.entry) ->
-        List.concat_map
-          (fun (a : Sched.Allocator.t) ->
-            List.map
-              (fun p -> (e, a, p))
-              [ Routing.Telemetry.Dmodk; Routing.Telemetry.Greedy;
-                Routing.Telemetry.Jigsaw ])
-          Sched.Allocator.all)
-      entries
-  in
-  let net_rows =
-    Format.printf
-      "  net telemetry race: %d trace x scheme x routing cells@."
-      (List.length net_combos);
-    let cells =
-      List.map
-        (fun ((e : Trace.Presets.entry), (a : Sched.Allocator.t), p) ->
-          Sched.Sweep.cell
-            (Sched.Simulator.Config.make ~net:(p, net_shape_for e)
-               ~radix:e.cluster_radix a)
-            e.workload)
-        net_combos
-      |> Array.of_list
-    in
-    let results = Sched.Sweep.run ~jobs:bench_jobs cells in
-    List.mapi
-      (fun i ((e : Trace.Presets.entry), (a : Sched.Allocator.t), p) ->
-        (e.workload.Trace.Workload.name, a.name,
-         Routing.Telemetry.policy_name p,
-         Routing.Telemetry.shape_name (net_shape_for e),
-         Option.get results.(i).Sched.Sweep.net))
-      net_combos
-  in
-  List.iter
-    (fun (trace, scheme, policy, _, (s : Routing.Telemetry.summary)) ->
-      if scheme = "Jigsaw" && policy = "jigsaw" && s.sm_peak_interfered <> 0
-      then
-        failwith
-          (Printf.sprintf
-             "net regression: Jigsaw-on-jigsaw shows %d interfered flows on %s"
-             s.sm_peak_interfered trace);
-      if s.sm_peak_max_load < s.sm_peak_lower_bound then
-        failwith
-          (Printf.sprintf
-             "net invariant broken: %s %s/%s peak load %d under lower bound %d"
-             trace scheme policy s.sm_peak_max_load s.sm_peak_lower_bound))
-    net_rows;
-  (* Telemetry overhead on a busy radix-24 machine (no Table 3 preset
-     uses that radix, so a bespoke synthetic workload): the same
-     Jigsaw cell with telemetry off, then on, per shape, all
-     un-instrumented fresh runs outside the shared cache — wall-clock
-     needs real work.  A final profiled all-to-all run supplies the
-     per-event route/retract span costs without polluting the timing
-     pairs.  Ring tracking must stay within 1.5x of the bare run;
-     all-to-all's ratio is recorded as data (its cost is the O(k^2)
-     flow count, not the index). *)
-  let net_overhead =
-    let w24 =
-      Trace.Synthetic.synth ~mean_size:24 ~n_jobs:1_500 ~seed:2401
-        ~max_size:3456
-    in
-    let mk ?net ?(profile = false) () =
-      Sched.Sweep.run_cell
-        (Sched.Sweep.cell ~profile
-           (Sched.Simulator.Config.make ?net ~radix:24 Sched.Allocator.jigsaw)
-           w24)
-    in
-    let off = (mk ()).Sched.Sweep.wall_s in
-    let shapes = [ Routing.Telemetry.Ring; Routing.Telemetry.Alltoall ] in
-    let ratios =
-      List.map
-        (fun sh ->
-          let on_ =
-            (mk ~net:(Routing.Telemetry.Jigsaw, sh) ()).Sched.Sweep.wall_s
-          in
-          let r = if off > 0.0 then on_ /. off else 0.0 in
-          Format.printf "  radix-24 overhead, %s flows: %.2fs on / %.2fs off (%.2fx)@."
-            (Routing.Telemetry.shape_name sh) on_ off r;
-          (Routing.Telemetry.shape_name sh, on_, r))
-        shapes
-    in
-    (match List.assoc_opt "ring" (List.map (fun (n, _, r) -> (n, r)) ratios)
-     with
-    | Some r when r > 1.5 ->
-        failwith
-          (Printf.sprintf
-             "net overhead regression: ring telemetry %.2fx the bare run" r)
-    | _ -> ());
-    let prof =
-      Option.get
-        (mk ~net:(Routing.Telemetry.Jigsaw, Routing.Telemetry.Alltoall)
-           ~profile:true ())
-          .Sched.Sweep.prof
-    in
-    (off, ratios, prof)
-  in
-  (* The molding section: moldable Jigsaw (every job free to run
-     anywhere in [pref/2, 2*pref]) raced against rigid on the Table 3
-     traces, telemetry live.  Three regression guards encode the PR's
-     claims: sized admission plus the grow pass may never cost
-     utilization relative to rigid; Jigsaw allocations stay
-     interference-free even as they shrink and grow mid-run; and
-     shrink recovery must lose strictly less node-time to a fault
-     than kill + resubmit does. *)
-  let molding_rows =
-    Format.printf "  molding: moldable vs rigid Jigsaw, %d traces@."
-      (List.length entries);
-    List.map
-      (fun (e : Trace.Presets.entry) ->
-        let rigid = run_sim e Sched.Allocator.jigsaw in
-        let wm = Trace.Workload.moldable e.workload in
-        let r =
-          Sched.Sweep.run_cell
-            (Sched.Sweep.cell
-               (Sched.Simulator.Config.make
-                  ~net:(Routing.Telemetry.Jigsaw, net_shape_for e)
-                  ~radix:e.cluster_radix Sched.Allocator.jigsaw)
-               wm)
-        in
-        let mold = r.Sched.Sweep.metrics in
-        let s = Option.get r.Sched.Sweep.net in
-        if mold.avg_utilization +. 1e-9 < rigid.avg_utilization then
-          failwith
-            (Printf.sprintf
-               "molding regression: Jigsaw moldable utilization %.4f under \
-                rigid %.4f on %s"
-               mold.avg_utilization rigid.avg_utilization
-               wm.Trace.Workload.name);
-        if s.sm_peak_interfered <> 0 then
-          failwith
-            (Printf.sprintf
-               "molding regression: %d interfered flows on moldable %s \
-                (Jigsaw must stay interference-free while resizing)"
-               s.sm_peak_interfered wm.Trace.Workload.name);
-        ( wm.Trace.Workload.name,
-          Trace.Workload.num_jobs wm,
-          rigid.avg_utilization,
-          mold.avg_utilization,
-          mold.grown,
-          s ))
-      entries
-  in
-  let shrink_recovery =
-    let e = List.hd entries in
-    let wm = Trace.Workload.moldable e.workload in
-    let makespan = (run_sim e Sched.Allocator.jigsaw).makespan in
-    (* All three node faults land at the same mid-run instant, when the
-       two runs' states are still identical: the policies then face the
-       same victims with the same elapsed work, and the comparison is
-       pure recovery policy.  (Staggered faults would diverge the
-       schedules, so later faults would hit different jobs and the
-       lost-work totals would compare different accidents, not the two
-       policies.) *)
-    let faults =
-      Trace.Faults.scripted
-        (List.map
-           (fun node ->
-             {
-               Trace.Faults.time = 0.5 *. makespan;
-               kind = Trace.Faults.Fail;
-               target = Trace.Faults.Node node;
-             })
-           [ 3; 501; 900 ])
-    in
-    let run shrink =
-      let resilience =
-        {
-          Sched.Simulator.requeue = true;
-          resubmit_delay = 30.0;
-          max_retries = 2;
-          charge_lost_work = true;
-          shrink;
-        }
-      in
-      Sched.Simulator.run
-        (Sched.Simulator.Config.make ~faults ~resilience
-           ~radix:e.cluster_radix Sched.Allocator.jigsaw)
-        wm
-    in
-    let with_shrink = run true and with_kill = run false in
-    Format.printf
-      "  shrink recovery on %s: %.0f node-s lost shrinking vs %.0f killing@."
-      wm.Trace.Workload.name with_shrink.lost_node_time
-      with_kill.lost_node_time;
-    if with_shrink.lost_node_time >= with_kill.lost_node_time then
-      failwith
-        (Printf.sprintf
-           "shrink regression: in-place shrink lost %.0f node-s, kill + \
-            resubmit lost %.0f on %s"
-           with_shrink.lost_node_time with_kill.lost_node_time
-           wm.Trace.Workload.name);
-    (wm.Trace.Workload.name, with_shrink, with_kill)
-  in
-  (* The sweep section: the full preset x scheme grid (45 cells at this
-     scale) timed end-to-end at 1/2/4/8 domains.  Fingerprints of every
-     cell must match the serial run bit-for-bit — the merge is
-     submission-ordered, so domain count must be unobservable.  These
-     runs bypass the shared cache: wall-clock comparisons need fresh
-     work.  Speedup saturates at the host's core count; "host_domains"
-     records what the hardware offered. *)
-  let host_domains = Par.Pool.default_jobs () in
-  let domain_counts =
-    (* On a single-core host the 2/4/8-domain runs would only measure
-       oversubscription — domains time-slicing one core — so the wall
-       clocks would be meaningless as speedup data.  Record the serial
-       run only and say so. *)
-    if host_domains = 1 then begin
-      Format.printf
-        "  host offers 1 domain; skipping 2/4/8-domain sweep timings@.";
-      [ 1 ]
-    end
-    else [ 1; 2; 4; 8 ]
-  in
-  let sweep_runs =
-    List.map
-      (fun jobs ->
-        let cells = Sched.Sweep.grid ~full () in
-        let t0 = Unix.gettimeofday () in
-        let results = Sched.Sweep.run ~jobs cells in
-        let wall = Unix.gettimeofday () -. t0 in
-        let fps =
-          Array.map
-            (fun (r : Sched.Sweep.result) ->
-              Sched.Metrics.fingerprint r.metrics)
-            results
-        in
-        Format.printf "  sweep at %d domain%s: %.2fs@." jobs
-          (if jobs = 1 then "" else "s")
-          wall;
-        (jobs, wall, fps))
-      domain_counts
-  in
-  let oc = open_out bench_json_file in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"bench_id\": \"BENCH_0006\",\n";
-  out "  \"repro_scale\": \"%s\",\n" (if full then "full" else "default");
-  out "  \"host_domains\": %d,\n" host_domains;
-  out "  \"micro_try_alloc\": {\n";
-  out "    \"cluster\": { \"radix\": %d, \"target_occupancy\": %.2f },\n" radix
-    target;
-  out "    \"rows\": [\n";
-  List.iteri
-    (fun i (name, label, size, ns) ->
-      out "      { \"allocator\": %S, \"class\": %S, \"size\": %d, \"mean_ns\": %.1f }%s\n"
-        name label size ns
-        (if i = List.length micro_rows - 1 then "" else ","))
-    micro_rows;
-  out "    ]\n  },\n";
-  out "  \"scale\": {\n";
-  out "    \"radix_small\": %d,\n" radix;
-  out "    \"radix_large\": %d,\n" scale_radix;
-  out "    \"target_occupancy\": %.2f,\n" target;
-  out "    \"rows\": [\n";
-  List.iteri
-    (fun i (name, label, size_l, small_ns, large_ns) ->
-      out
-        "      { \"allocator\": %S, \"class\": %S, \"size_large\": %d, \"mean_ns_r%d\": %.1f, \"mean_ns_r%d\": %.1f, \"ratio\": %.2f }%s\n"
-        name label size_l radix small_ns scale_radix large_ns
-        (if small_ns > 0.0 then large_ns /. small_ns else 0.0)
-        (if i = List.length scale_rows - 1 then "" else ","))
-    scale_rows;
-  out "    ]\n  },\n";
-  out "  \"micro_bitset\": [\n";
-  List.iteri
-    (fun i (label, density, mem_ns, iter_ns) ->
-      out
-        "    { \"set\": %S, \"density\": %.2f, \"bits\": 4096, \"mem_loop_ns\": %.1f, \"iter_set_ns\": %.1f, \"speedup\": %.2f }%s\n"
-        label density mem_ns iter_ns
-        (if iter_ns > 0.0 then mem_ns /. iter_ns else 0.0)
-        (if i = List.length bitset_rows - 1 then "" else ","))
-    bitset_rows;
-  out "  ],\n";
-  out "  \"sweep\": {\n";
-  out "    \"multi_domain_timings_skipped\": %b,\n" (host_domains = 1);
-  (let _, serial_wall, serial_fps = List.hd sweep_runs in
-   out "    \"grid\": { \"traces\": 9, \"schemes\": 5, \"cells\": %d },\n"
-     (Array.length serial_fps);
-   out "    \"runs\": [\n";
-   List.iteri
-     (fun i (jobs, wall, fps) ->
-       out
-         "      { \"jobs\": %d, \"wall_s\": %.3f, \"speedup\": %.3f, \"fingerprints_match_serial\": %b }%s\n"
-         jobs wall (serial_wall /. wall)
-         (fps = serial_fps)
-         (if i = List.length sweep_runs - 1 then "" else ","))
-     sweep_runs);
-  out "    ]\n  },\n";
-  out "  \"traces\": [\n";
-  List.iteri
-    (fun i (trace, jobs, scheme, stpj, util) ->
-      out
-        "    { \"trace\": %S, \"jobs\": %d, \"scheme\": %S, \"sched_time_per_job_s\": %.6e, \"avg_utilization\": %.6f }%s\n"
-        trace jobs scheme stpj util
-        (if i = List.length trace_rows - 1 then "" else ","))
-    trace_rows;
-  out "  ],\n";
-  out "  \"profile\": {\n";
-  out "    \"trace\": %S,\n" profile_entry.workload.Trace.Workload.name;
-  out "    \"jobs\": %d,\n" (Trace.Workload.num_jobs profile_entry.workload);
-  out "    \"schemes\": {\n";
-  List.iteri
-    (fun i (name, memo_rate, prof_json) ->
-      out "      %S: { \"memo_hit_rate\": %.6f, \"registry\": %s }%s\n" name
-        memo_rate prof_json
-        (if i = List.length profile_rows - 1 then "" else ","))
-    profile_rows;
-  out "    }\n  },\n";
-  out "  \"net\": {\n";
-  out "    \"rows\": [\n";
-  List.iteri
-    (fun i (trace, scheme, policy, shape, (s : Routing.Telemetry.summary)) ->
-      out
-        "      { \"trace\": %S, \"scheme\": %S, \"routing\": %S, \"shape\": %S, \"routed_jobs\": %d, \"routed_flows\": %d, \"peak_max_load\": %d, \"mean_max_load\": %.3f, \"peak_leaf\": %d, \"peak_l2\": %d, \"peak_shared\": %d, \"peak_interfered\": %d, \"peak_lower_bound\": %d, \"interfered_fraction\": %.6f }%s\n"
-        trace scheme policy shape s.sm_routed_jobs s.sm_routed_flows
-        s.sm_peak_max_load s.sm_mean_max_load s.sm_peak_leaf s.sm_peak_l2
-        s.sm_peak_shared s.sm_peak_interfered s.sm_peak_lower_bound
-        s.sm_interfered_fraction
-        (if i = List.length net_rows - 1 then "" else ","))
-    net_rows;
-  out "    ],\n";
-  (let span_json name p =
-     match Obs.Prof.find_span p name with
-     | None -> "{ \"count\": 0 }"
-     | Some (s : Obs.Prof.span_view) ->
-         Printf.sprintf
-           "{ \"count\": %d, \"mean_ns\": %.1f, \"p50_ns\": %.1f, \"p90_ns\": %.1f, \"p99_ns\": %.1f, \"max_ns\": %.1f }"
-           s.sp_count s.sp_mean_ns s.sp_p50_ns s.sp_p90_ns s.sp_p99_ns
-           s.sp_max_ns
-   in
-   let off_s, ratios, p = net_overhead in
-   out
-     "    \"overhead\": { \"cluster_radix\": 24, \"jobs\": 1500, \"scheme\": \"Jigsaw\", \"routing\": \"jigsaw\", \"wall_off_s\": %.3f,\n"
-     off_s;
-   out "      \"runs\": [\n";
-   List.iteri
-     (fun i (shape, on_s, ratio) ->
-       out "        { \"shape\": %S, \"wall_on_s\": %.3f, \"ratio\": %.3f }%s\n"
-         shape on_s ratio
-         (if i = List.length ratios - 1 then "" else ","))
-     ratios;
-   out "      ],\n";
-   out "      \"route_span\": %s,\n" (span_json "net/route" p);
-   out "      \"retract_span\": %s }\n" (span_json "net/retract" p));
-  out "  },\n";
-  out "  \"molding\": {\n";
-  out "    \"scheme\": \"Jigsaw\",\n";
-  out "    \"bounds\": { \"min_frac\": 0.5, \"max_frac\": 2.0 },\n";
-  out "    \"rows\": [\n";
-  List.iteri
-    (fun i (trace, jobs, rigid_u, mold_u, grown,
-            (s : Routing.Telemetry.summary)) ->
-      out
-        "      { \"trace\": %S, \"jobs\": %d, \"rigid_utilization\": %.6f, \"moldable_utilization\": %.6f, \"grown\": %d, \"routed_flows\": %d, \"peak_interfered\": %d }%s\n"
-        trace jobs rigid_u mold_u grown s.sm_routed_flows
-        s.sm_peak_interfered
-        (if i = List.length molding_rows - 1 then "" else ","))
-    molding_rows;
-  out "    ],\n";
-  (let trace, (s : Sched.Metrics.t), (k : Sched.Metrics.t) =
-     shrink_recovery
-   in
-   out
-     "    \"shrink_recovery\": { \"trace\": %S, \"node_faults\": 3, \"shrink\": { \"lost_node_time\": %.1f, \"shrunk\": %d, \"interrupted\": %d }, \"kill\": { \"lost_node_time\": %.1f, \"interrupted\": %d, \"requeued\": %d } }\n"
-     trace s.lost_node_time s.shrunk s.interrupted k.lost_node_time
-     k.interrupted k.requeued);
-  out "  }\n}\n";
-  close_out oc;
-  Format.printf
-    "wrote %s (%d micro rows, %d scale rows, %d bitset rows, %d sweep runs, %d trace rows, %d profiles, %d net rows, %d molding rows)@."
-    bench_json_file (List.length micro_rows) (List.length scale_rows)
-    (List.length bitset_rows) (List.length sweep_runs)
-    (List.length trace_rows)
-    (List.length profile_rows)
-    (List.length net_rows)
-    (List.length molding_rows)
-
-(* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out.                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1104,7 +505,6 @@ let all_targets =
     ("fig8", fig8);
     ("table3", table3);
     ("micro", micro);
-    ("json", bench_json);
     ("ablation", ablation);
   ]
 
@@ -1121,8 +521,7 @@ let () =
           f ();
           Format.printf "[%s took %.1fs]@." name (Unix.gettimeofday () -. t0)
       | None ->
-          Format.eprintf
-            "unknown target %s (expected: table1 fig6 table2 fig7 fig8 table3 micro json ablation)@."
-            name;
+          Format.eprintf "unknown target %s (expected: %s)@." name
+            (String.concat " " (List.map fst all_targets));
           exit 1)
     chosen

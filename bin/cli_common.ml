@@ -70,8 +70,11 @@ let resubmit_delay_arg ~doc =
 (* The resilience record a policy denotes.  [shrink] alone turns
    requeueing off (victims that cannot shrink are abandoned, exactly as
    without --requeue); [shrink:N] layers the historical resubmission
-   under it. *)
+   under it.  A negative delay would schedule the resubmission in the
+   past, so it is a usage error. *)
 let resilience ~requeue ~resubmit_delay ~charge_lost_work =
+  if not (resubmit_delay >= 0.0) then
+    die "--resubmit-delay must be non-negative (got %g)" resubmit_delay;
   match requeue with
   | None -> { Sched.Simulator.no_resilience with charge_lost_work }
   | Some { retries; shrink } ->

@@ -29,57 +29,91 @@ let default_horizon (w : Trace.Workload.t) =
    file + rename), so a kill at any wall-clock instant leaves the last
    completed checkpoint intact. *)
 let checkpoint_loop sim ~every ~out =
-  match every with
-  | None -> ()
-  | Some dt ->
-      let rec loop t =
-        if not (Sched.Simulator.is_finished sim) then begin
-          Sched.Simulator.run_until sim t;
-          Sched.Checkpoint.write ~path:out sim;
-          loop (t +. dt)
-        end
-      in
-      loop (Sched.Simulator.now sim +. dt)
+  let rec loop t =
+    if not (Sched.Simulator.is_finished sim) then begin
+      Sched.Simulator.run_until sim t;
+      Sched.Checkpoint.write ~path:out sim;
+      loop (t +. every)
+    end
+  in
+  loop (Sched.Simulator.now sim +. every)
+
+(* Finish a live simulation into the result a sweep cell would return;
+   [t0] is the wall-clock instant the run started. *)
+let finish_result ~t0 ?prof sim =
+  let metrics, _ = Sched.Simulator.finish sim in
+  {
+    Sched.Sweep.metrics;
+    prof;
+    net = Sched.Simulator.net_summary sim;
+    wall_s = Unix.gettimeofday () -. t0;
+    restored = false;
+  }
+
+(* One result's report: a '[label] digest' line under --fingerprint,
+   otherwise the metrics row ([extra] appended to its JSON form), the
+   profile, and in human mode the telemetry summary and histogram. *)
+let print_result ~fingerprint ~json ~table2 ~label ~extra
+    (r : Sched.Sweep.result) =
+  let m = r.metrics in
+  if fingerprint then Format.printf "%s %s@." label (Sched.Metrics.fingerprint m)
+  else begin
+    if json then Format.printf "%s@." (Sched.Metrics.to_json_string ~extra m)
+    else Format.printf "%a@." (Sched.Metrics.pp ~format:Sched.Metrics.Human) m;
+    (match r.prof with
+    | Some p when json ->
+        let b = Buffer.create 1024 in
+        Obs.Prof.write_json b p;
+        Format.printf "%s@." (Buffer.contents b)
+    | Some p -> Format.printf "%a" Obs.Prof.pp_report p
+    | None -> ());
+    if not json then begin
+      Option.iter (Format.printf "%a@." Routing.Telemetry.pp_summary) r.net;
+      if table2 then begin
+        let h = m.inst_hist in
+        Format.printf
+          "  instantaneous utilization: >=98:%d  95-97:%d  90-95:%d  80-90:%d  60-80:%d  <=60:%d@."
+          h.(5) h.(4) h.(3) h.(2) h.(1) h.(0)
+      end
+    end
+  end
 
 (* --restore: the checkpoint is self-describing (workload, faults and
    scheme travel inside it), so no --trace/--sched flags are read. *)
 let run_restored ~path ~checkpoint_every ~checkpoint_out ~json ~fingerprint
     ~table2 ~net =
+  let t0 = Unix.gettimeofday () in
   match Sched.Checkpoint.restore ?net ~path () with
-  | Error m ->
-      Format.eprintf "cannot restore %s: %s@." path m;
-      exit 1
+  | Error m -> Cli_common.die "cannot restore %s: %s" path m
   | Ok sim ->
-      (match checkpoint_every with
-      | Some _ ->
+      Option.iter
+        (fun every ->
           let out = Option.value checkpoint_out ~default:path in
-          checkpoint_loop sim ~every:checkpoint_every ~out
-      | None -> ());
-      let metrics, _ = Sched.Simulator.finish sim in
-      let m = metrics in
-      if fingerprint then
-        Format.printf "%s/%s %s@." m.Sched.Metrics.trace_name
-          m.Sched.Metrics.sched_name
-          (Sched.Metrics.fingerprint m)
-      else if json then Format.printf "%s@." (Sched.Metrics.to_json_string m)
-      else begin
-        Format.printf "%a@." (Sched.Metrics.pp ~format:Sched.Metrics.Human) m;
-        if table2 then begin
-          let h = m.Sched.Metrics.inst_hist in
-          Format.printf
-            "  instantaneous utilization: >=98:%d  95-97:%d  90-95:%d  80-90:%d  60-80:%d  <=60:%d@."
-            h.(5) h.(4) h.(3) h.(2) h.(1) h.(0)
-        end;
-        match Sched.Simulator.net_summary sim with
-        | Some s -> Format.printf "%a@." Routing.Telemetry.pp_summary s
-        | None -> ()
-      end
+          checkpoint_loop sim ~every ~out)
+        checkpoint_every;
+      let r = finish_result ~t0 sim in
+      print_result ~fingerprint ~json ~table2 ~extra:[]
+        ~label:
+          (Printf.sprintf "%s/%s" r.metrics.trace_name r.metrics.sched_name)
+        r
 
 let run preset swf radix sched scenario seed window truncate jobs sweep full
-    scale table2 series mtbf mttr fault_seed fault_trace fault_horizon requeue
+    scale table2 mtbf mttr fault_seed fault_trace fault_horizon requeue
     resubmit_delay charge_lost_work moldable trace_out trace_format profile
     json fingerprint series_out checkpoint_every checkpoint_out restore
     resume_sweep net_telemetry net_routing net_flows =
+  let die = Cli_common.die in
+  let positive flag = function
+    | Some v when not (v > 0.0) -> die "%s must be positive (got %g)" flag v
+    | _ -> ()
+  in
+  positive "--checkpoint-every" checkpoint_every;
+  positive "--mtbf" mtbf;
+  positive "--mttr" (Some mttr);
+  if window < 0 then die "--window must be non-negative (got %d)" window;
+  (match truncate with
+  | Some n when n < 0 -> die "--truncate must be non-negative (got %d)" n
+  | _ -> ());
   let net =
     if not net_telemetry then None
     else
@@ -88,39 +122,25 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
           Routing.Telemetry.shape_of_name net_flows )
       with
       | Some p, Some sh -> Some (p, sh)
-      | None, _ ->
-          Format.eprintf "unknown --net-routing %s (dmodk|greedy|jigsaw)@."
-            net_routing;
-          exit 1
-      | _, None ->
-          Format.eprintf "unknown --net-flows %s (alltoall|ring)@." net_flows;
-          exit 1
+      | None, _ -> die "unknown --net-routing %s (dmodk|greedy|jigsaw)" net_routing
+      | _, None -> die "unknown --net-flows %s (alltoall|ring)" net_flows
   in
   (match restore with
   | Some path ->
-      if preset <> None || swf <> None || sweep then begin
-        Format.eprintf
-          "--restore runs a self-describing checkpoint; drop --trace/--swf/--sweep@.";
-        exit 1
-      end;
+      if preset <> None || swf <> None || sweep then
+        die
+          "--restore runs a self-describing checkpoint; drop \
+           --trace/--swf/--sweep";
       run_restored ~path ~checkpoint_every ~checkpoint_out ~json ~fingerprint
         ~table2 ~net;
       exit 0
   | None -> ());
   let jobs = if jobs = 0 then Par.Pool.default_jobs () else max 1 jobs in
   let scenario =
-    match Trace.Scenario.of_name scenario with
-    | Ok s -> s
-    | Error m ->
-        Format.eprintf "%s@." m;
-        exit 1
+    match Trace.Scenario.of_name scenario with Ok s -> s | Error m -> die "%s" m
   in
   let allocs =
-    match Sched.Allocator.of_cli sched with
-    | Ok l -> l
-    | Error m ->
-        Format.eprintf "%s@." m;
-        exit 1
+    match Sched.Allocator.of_cli sched with Ok l -> l | Error m -> die "%s" m
   in
   let resilience =
     Cli_common.resilience ~requeue ~resubmit_delay ~charge_lost_work
@@ -128,23 +148,30 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
   (* Fault events are topology-specific, so the sweep regenerates them
      per entry; scripted traces cannot follow a cluster change. *)
   (match (fault_trace, mtbf) with
-  | Some _, Some _ ->
-      Format.eprintf "--fault-trace and --mtbf are mutually exclusive@.";
-      exit 1
+  | Some _, Some _ -> die "--fault-trace and --mtbf are mutually exclusive"
   | Some _, None when sweep ->
-      Format.eprintf
-        "--fault-trace ids are topology-specific; use --mtbf with --sweep@.";
-      exit 1
+      die "--fault-trace ids are topology-specific; use --mtbf with --sweep"
   | _ -> ());
   let faults_for (entry : Trace.Presets.entry) (workload : Trace.Workload.t) =
     let topo = Fattree.Topology.of_radix entry.cluster_radix in
     match (fault_trace, mtbf) with
     | Some path, None -> (
-        match Trace.Faults.load path with
+        (* Every target id must exist on this cluster. *)
+        let in_range f =
+          match
+            Array.iter
+              (fun (e : Trace.Faults.event) ->
+                ignore (Trace.Faults.resources topo e.target))
+              (Trace.Faults.events f)
+          with
+          | () -> Ok f
+          | exception Invalid_argument m -> Error m
+        in
+        match Result.bind (Trace.Faults.load path) in_range with
         | Ok f -> f
         | Error m ->
             (* Exit 2: input-file rejection (the message carries the
-               offending line number), distinct from usage errors. *)
+               offending line number or id), distinct from usage errors. *)
             Format.eprintf "cannot load fault trace %s: %s@." path m;
             exit 2)
     | None, Some mtbf ->
@@ -174,10 +201,8 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
   Cli_common.check_scale_full ~action:"runs" scale full;
   let entries =
     if sweep then begin
-      if preset <> None || swf <> None then begin
-        Format.eprintf "--sweep runs every preset; drop --trace/--swf@.";
-        exit 1
-      end;
+      if preset <> None || swf <> None then
+        die "--sweep runs every preset; drop --trace/--swf";
       if scale then Trace.Presets.scale_all () else Trace.Presets.all ~full
     end
     else begin
@@ -186,9 +211,7 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
         | Some name, None -> (
             match Cli_common.preset_entry ~full name with
             | Ok e -> e
-            | Error m ->
-                Format.eprintf "%s@." m;
-                exit 1)
+            | Error m -> die "%s" m)
         | None, Some path -> (
             match
               Trace.Swf.load ~name:(Filename.basename path) ~system_nodes:0 path
@@ -198,12 +221,8 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
                 (* Exit 2: input-file rejection, line number included. *)
                 Format.eprintf "cannot load %s: %s@." path m;
                 exit 2)
-        | Some _, Some _ ->
-            Format.eprintf "--trace and --swf are mutually exclusive@.";
-            exit 1
-        | None, None ->
-            Format.eprintf "one of --trace or --swf is required@.";
-            exit 1
+        | Some _, Some _ -> die "--trace and --swf are mutually exclusive"
+        | None, None -> die "one of --trace or --swf is required"
       in
       [ entry ]
     end
@@ -214,28 +233,21 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
   in
   (* Sinks buffer into channels, which only one domain may write: event
      tracing stays on the serial path. *)
-  if trace_out <> None && (sweep || jobs > 1) then begin
-    Format.eprintf "--trace-out is serial-only; drop --sweep/--jobs@.";
-    exit 1
-  end;
+  if trace_out <> None && (sweep || jobs > 1) then
+    die "--trace-out is serial-only; drop --sweep/--jobs";
   (match checkpoint_every with
   | Some _ when sweep || List.length allocs > 1 || jobs > 1 || trace_out <> None
     ->
-      Format.eprintf
+      die
         "--checkpoint-every snapshots a single serial run (one trace, one \
-         scheme); drop --sweep/--jobs/--trace-out and pick one --sched@.";
-      exit 1
+         scheme); drop --sweep/--jobs/--trace-out and pick one --sched"
   | Some _ when checkpoint_out = None ->
-      Format.eprintf "--checkpoint-every requires --checkpoint-out FILE@.";
-      exit 1
+      die "--checkpoint-every requires --checkpoint-out FILE"
   | _ -> ());
   if resume_sweep <> None && (trace_out <> None || checkpoint_every <> None)
-  then begin
-    Format.eprintf
-      "--resume-sweep journals sweep cells; drop --trace-out/--checkpoint-every@.";
-    exit 1
-  end;
-  let out_format = if json then Sched.Metrics.Json else Sched.Metrics.Human in
+  then
+    die
+      "--resume-sweep journals sweep cells; drop --trace-out/--checkpoint-every";
   let multi = Array.length cells > 1 in
   if (not json) && not fingerprint then begin
     if sweep then
@@ -258,33 +270,30 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
       Format.printf "@."
     end
   end;
+  (* One cell on the calling domain, optionally tracing to [sink] and
+     advanced by [advance] before it is finished. *)
+  let run_serial ?sink ?(advance = ignore) (c : Sched.Sweep.cell) =
+    let t0 = Unix.gettimeofday () in
+    let prof = if profile then Some (Obs.Prof.create ()) else None in
+    let cfg = Sched.Simulator.Config.with_prof prof c.config in
+    let cfg =
+      match sink with
+      | Some s -> Sched.Simulator.Config.with_sink s cfg
+      | None -> cfg
+    in
+    let sim = Sched.Simulator.start cfg c.workload in
+    advance sim;
+    finish_result ~t0 ?prof sim
+  in
   let t_start = Unix.gettimeofday () in
   let results =
     match (checkpoint_every, trace_out) with
-    | Some _, _ ->
+    | Some every, _ ->
         (* Single serial cell, advanced slice by slice with a checkpoint
            after each slice; the final metrics are computed by [finish]
            exactly as an uninterrupted run would. *)
-        let c = cells.(0) in
-        let t0 = Unix.gettimeofday () in
-        let prof = if profile then Some (Obs.Prof.create ()) else None in
-        let sim =
-          Sched.Simulator.start
-            (Sched.Simulator.Config.with_prof prof c.config)
-            c.workload
-        in
         let out = Option.get checkpoint_out in
-        checkpoint_loop sim ~every:checkpoint_every ~out;
-        let metrics, _ = Sched.Simulator.finish sim in
-        [|
-          {
-            Sched.Sweep.metrics;
-            prof;
-            net = Sched.Simulator.net_summary sim;
-            wall_s = Unix.gettimeofday () -. t0;
-            restored = false;
-          };
-        |]
+        [| run_serial ~advance:(checkpoint_loop ~every ~out) cells.(0) |]
     | None, None when sweep -> (
         (* Graceful SIGINT/SIGTERM: finish (and journal) the cells in
            flight, start nothing new, exit 130 — a rerun with the same
@@ -317,44 +326,18 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
         (* Serial path with a live sink: all cells of one invocation
            append to a single trace file; the per-run [Run_meta] event
            delimits them (jigsaw-trace splits on it). *)
-        let trace_fmt =
+        let fmt =
           match
             Cli_common.parse_format ~flag:"trace format" ~allow_auto:false
               trace_format
           with
-          | Ok f -> f
-          | Error m ->
-              Format.eprintf "%s@." m;
-              exit 1
-        in
-        let fmt =
-          match trace_fmt with
-          | Some f -> f
-          | None -> Obs.Sink.format_of_path path
+          | Ok (Some f) -> f
+          | Ok None -> Obs.Sink.format_of_path path
+          | Error m -> die "%s" m
         in
         let oc = Out_channel.open_text path in
         let sink = Obs.Sink.to_channel fmt oc in
-        let results =
-          Array.map
-            (fun (c : Sched.Sweep.cell) ->
-              let t0 = Unix.gettimeofday () in
-              let prof = if profile then Some (Obs.Prof.create ()) else None in
-              let cfg =
-                c.config
-                |> Sched.Simulator.Config.with_sink sink
-                |> Sched.Simulator.Config.with_prof prof
-              in
-              let sim = Sched.Simulator.start cfg c.workload in
-              let metrics, _ = Sched.Simulator.finish sim in
-              {
-                Sched.Sweep.metrics;
-                prof;
-                net = Sched.Simulator.net_summary sim;
-                wall_s = Unix.gettimeofday () -. t0;
-                restored = false;
-              })
-            cells
-        in
+        let results = Array.map (run_serial ~sink) cells in
         Out_channel.close oc;
         if (not json) && not fingerprint then
           Format.printf "event trace -> %s@." path;
@@ -380,63 +363,23 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
   Array.iteri
     (fun i (r : Sched.Sweep.result) ->
       let c = cells.(i) in
-      let m = r.metrics in
-      if fingerprint then
-        (* The stable cell id, not the display label: fingerprint lines
-           are diffed across runs and machines, so the key must not
-           depend on grid position or flag order. *)
-        Format.printf "%s %s@." c.id (Sched.Metrics.fingerprint m)
-      else begin
-        (if json then
-           let extra =
-             [
-               ("wall_clock_s", Obs.Json.Num r.wall_s);
-               ("jobs", Obs.Json.Num (float_of_int jobs));
-             ]
-           in
-           Format.printf "%s@." (Sched.Metrics.to_json_string ~extra m)
-         else Format.printf "%a@." (Sched.Metrics.pp ~format:out_format) m);
-        (match r.prof with
-        | Some p ->
-            if json then begin
-              let b = Buffer.create 1024 in
-              Obs.Prof.write_json b p;
-              Format.printf "%s@." (Buffer.contents b)
-            end
-            else Format.printf "%a" Obs.Prof.pp_report p
-        | None -> ());
-        (match r.net with
-        | Some s when not json ->
-            Format.printf "%a@." Routing.Telemetry.pp_summary s
-        | _ -> ());
-        if table2 && not json then begin
-          let h = m.inst_hist in
-          Format.printf
-            "  instantaneous utilization: >=98:%d  95-97:%d  90-95:%d  80-90:%d  60-80:%d  <=60:%d@."
-            h.(5) h.(4) h.(3) h.(2) h.(1) h.(0)
-        end;
-        (match series with
-        | None -> ()
-        | Some path ->
-            let file =
-              if sweep then
-                Printf.sprintf "%s.%s.%s.csv" path
-                  c.workload.Trace.Workload.name
-                  c.config.allocator.name
-              else
-                Printf.sprintf "%s.%s.csv" path c.config.allocator.name
-            in
-            Out_channel.with_open_text file (fun oc ->
-                Sched.Metrics.write_series_csv oc m);
-            if not json then Format.printf "  utilization series -> %s@." file);
-        match series_out with
-        | None -> ()
-        | Some path ->
-            let file = series_file path c in
-            Out_channel.with_open_text file (fun oc ->
-                Sched.Metrics.write_series_csv oc m);
-            if not json then Format.printf "  utilization series -> %s@." file
-      end)
+      (* The stable cell id keys fingerprint lines, not the display
+         label: they are diffed across runs and machines, so the key
+         must not depend on grid position or flag order. *)
+      print_result ~fingerprint ~json ~table2 ~label:c.id
+        ~extra:
+          [
+            ("wall_clock_s", Obs.Json.Num r.wall_s);
+            ("jobs", Obs.Json.Num (float_of_int jobs));
+          ]
+        r;
+      match series_out with
+      | Some path when not fingerprint ->
+          let file = series_file path c in
+          Out_channel.with_open_text file (fun oc ->
+              Sched.Metrics.write_series_csv oc r.metrics);
+          if not json then Format.printf "  utilization series -> %s@." file
+      | _ -> ())
     results;
   if sweep && (not json) && not fingerprint then begin
     (match resume_sweep with
@@ -515,11 +458,6 @@ let cmd =
   let table2 =
     Arg.(value & flag & info [ "table2" ]
            ~doc:"Also print the instantaneous-utilization histogram.")
-  in
-  let series =
-    Arg.(value & opt (some string) None & info [ "series" ] ~docv:"PREFIX"
-           ~doc:"Dump the utilization time series to PREFIX.<scheme>.csv \
-                 (PREFIX.<trace>.<scheme>.csv under --sweep).")
   in
   let mtbf =
     Arg.(value & opt (some float) None & info [ "mtbf" ] ~docv:"SECONDS"
@@ -669,7 +607,7 @@ let cmd =
   let term =
     Term.(
       const run $ preset $ swf $ radix $ sched $ scenario $ seed $ window
-      $ truncate $ jobs $ sweep $ full $ scale $ table2 $ series $ mtbf $ mttr
+      $ truncate $ jobs $ sweep $ full $ scale $ table2 $ mtbf $ mttr
       $ fault_seed $ fault_trace $ fault_horizon $ requeue $ resubmit_delay
       $ charge_lost_work $ moldable $ trace_out $ trace_format $ profile $ json
       $ fingerprint $ series_out $ checkpoint_every $ checkpoint_out $ restore

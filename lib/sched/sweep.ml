@@ -322,24 +322,3 @@ let merged_profile results =
       results;
     Some agg
   end
-
-let grid_of ~profile ~faults_for entries =
-  List.concat_map
-    (fun (e : Trace.Presets.entry) ->
-      List.map
-        (fun alloc ->
-          cell ~profile
-            (Simulator.Config.make ~faults:(faults_for e)
-               ~radix:e.cluster_radix alloc)
-            e.workload)
-        Allocator.all)
-    entries
-  |> Array.of_list
-
-let grid ?(profile = false) ?(faults_for = fun _ -> Trace.Faults.none) ~full ()
-    =
-  grid_of ~profile ~faults_for (Trace.Presets.all ~full)
-
-let scale_grid ?(profile = false) ?(faults_for = fun _ -> Trace.Faults.none) ()
-    =
-  grid_of ~profile ~faults_for (Trace.Presets.scale_all ())

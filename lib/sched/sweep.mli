@@ -121,24 +121,3 @@ val merged_profile : result array -> Obs.Prof.t option
 (** Merge every profiled cell's registry, in cell order, into a fresh
     registry owned by the calling domain.  [None] when no cell
     profiled. *)
-
-val grid :
-  ?profile:bool ->
-  ?faults_for:(Trace.Presets.entry -> Trace.Faults.t) ->
-  full:bool ->
-  unit ->
-  cell array
-(** The full evaluation grid — the 9 presets of Table 1 (in [all]
-    order) x the 5 schemes of [Allocator.all], 45 cells.  [faults_for]
-    builds a per-entry fault trace (faults are topology-specific);
-    default: healthy machines. *)
-
-val scale_grid :
-  ?profile:bool ->
-  ?faults_for:(Trace.Presets.entry -> Trace.Faults.t) ->
-  unit ->
-  cell array
-(** Like {!grid} but over {!Trace.Presets.scale_all} — the nine
-    workload families re-targeted at the radix-48 cluster, 45 cells.
-    Cell ids carry the tier's ["@48"] workload names, so the same
-    manifest file can hold both tiers without collisions. *)
