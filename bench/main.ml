@@ -318,6 +318,20 @@ let load_cluster ~radix ~seed ~target =
   done;
   st
 
+(* Every leaf loses 1-4 nodes (no cables), so no leaf is fully free and
+   no pod has more than [m2 * (m1 - 1)] free nodes, while most of the
+   machine stays free. *)
+let fragmented_cluster ~radix =
+  let topo = Fattree.Topology.of_radix radix in
+  let st = Fattree.State.create topo in
+  for leaf = 0 to Fattree.Topology.num_leaves topo - 1 do
+    let first = Fattree.Topology.leaf_first_node topo leaf in
+    Fattree.State.claim_exn st
+      (Fattree.Alloc.nodes_only ~job:(-1 - leaf) ~size:(1 + (leaf mod 4))
+         (Array.init (1 + (leaf mod 4)) (fun k -> first + k)))
+  done;
+  st
+
 let micro () =
   section "Bechamel micro-benchmarks (radix-24 cluster, ~80% loaded)";
   let open Bechamel in
@@ -333,6 +347,23 @@ let micro () =
            Test.make ~name:a.name
              (Staged.stage (fun () -> ignore (a.try_alloc st job))))
          Sched.Allocator.all)
+  in
+  (* No-fit probes on the fragmented cluster: a 120-node job exceeds
+     every pod's free nodes (single-pod shapes all miss) and a 400-node
+     one needs fully-free leaves (three-level shapes all miss), though
+     thousands of nodes are free.  These time the misses that the
+     per-pod row precheck and the three-level guard cut short. *)
+  let nofit_group size =
+    let st = fragmented_cluster ~radix:24 in
+    let job = Trace.Job.v ~id:999_998 ~size ~runtime:100.0 () in
+    Test.make_grouped ~name:(Printf.sprintf "nofit-fragmented-%d" size)
+      (List.map
+         (fun (a : Sched.Allocator.t) ->
+           if a.try_alloc st job <> None then
+             failwith (Printf.sprintf "micro: %s places the no-fit job" a.name);
+           Test.make ~name:a.name
+             (Staged.stage (fun () -> ignore (a.try_alloc st job))))
+         [ Sched.Allocator.jigsaw; Sched.Allocator.laas ])
   in
   (* Routing micro-benches: constructing a full-bandwidth routing for a
      permutation over a partition, and compiling forwarding tables. *)
@@ -394,6 +425,7 @@ let micro () =
   in
   let groups =
     List.map alloc_group [ ("leaf", 6); ("pod", 40); ("multi-pod", 200) ]
+    @ List.map nofit_group [ 120; 400 ]
     @ [ routing_group; bitset_group ]
   in
   let benchmark tests =

@@ -80,6 +80,22 @@ let run socket dir preset full sched radix scenario seed window no_backfill
     max_clients max_queue client_timeout ckpt_ops ckpt_s retain allow_crash
     quiet supervised =
   let fail fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 1) fmt in
+  let at_least flag lo v =
+    if v < lo then fail "%s must be >= %d (got %d)" flag lo v
+  in
+  let positive flag v =
+    if not (v > 0.0) then fail "%s must be positive (got %g)" flag v
+  in
+  if radix < 2 || radix mod 2 <> 0 then
+    fail "--radix must be even and >= 2 (got %d)" radix;
+  at_least "--window" 0 window;
+  at_least "--max-clients" 1 max_clients;
+  at_least "--max-queue" 1 max_queue;
+  at_least "--checkpoint-every-ops" 1 ckpt_ops;
+  at_least "--retain" 1 retain;
+  positive "--checkpoint-every-s" ckpt_s;
+  positive "--client-timeout" client_timeout;
+  Option.iter (positive "--time-scale") time_scale;
   let params =
     if state_dir_initialized dir then None
     else begin

@@ -3,38 +3,6 @@ open Fattree
 let default_budget = 100_000
 
 (* ------------------------------------------------------------------ *)
-(* Two-level search: first shape that fits in any single pod.          *)
-(* ------------------------------------------------------------------ *)
-
-let try_two_level st ~job ~size ~alloc_size ~demand =
-  let topo = State.topo st in
-  let shapes = Shapes.two_level topo ~size:alloc_size in
-  let m3 = Topology.m3 topo in
-  let rec over_shapes = function
-    | [] -> None
-    | shape :: rest ->
-        let rec over_pods pod =
-          if pod >= m3 then None
-          else begin
-            match Search.find_two_level st ~job ~pod ~shape ~demand with
-            | Some tree ->
-                Some
-                  {
-                    Partition.job;
-                    size;
-                    full_trees = [| tree |];
-                    rem_tree = None;
-                  }
-            | None -> over_pods (pod + 1)
-          end
-        in
-        (match over_pods 0 with
-        | Some _ as ok -> ok
-        | None -> over_shapes rest)
-  in
-  over_shapes shapes
-
-(* ------------------------------------------------------------------ *)
 (* Three-level search with the full-leaf restriction.                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -186,11 +154,23 @@ let try_remainder st info ~l_t ~l_rt ~n_rl ~demand ~inter =
     end
   end
 
-let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
+(* Every three-level shape needs t·l_t + l_rt = alloc_size / m1 distinct
+   fully-free leaves (the remainder leaf holds n_rl < m1 nodes), so too
+   few fully-free leaves machine-wide rules out every shape.  O(pods)
+   reads of State's counters, checked before the O(pods·(m1+m2))
+   snapshot. *)
+let three_level_may_fit st ~alloc_size =
+  let topo = State.topo st in
+  let total = ref 0 in
+  for pod = 0 to Topology.m3 topo - 1 do
+    total := !total + State.pod_fully_free_leaves st ~pod
+  done;
+  !total >= alloc_size / Topology.m1 topo
+
+let search_three_level st ~job ~size ~demand ~budget shapes =
   let topo = State.topo st in
   let m1 = Topology.m1 topo and m3 = Topology.m3 topo in
   let infos = pod_infos st ~demand in
-  let shapes = Shapes.three_level topo ~size:alloc_size ~n_l:m1 in
   (* Quick necessary-condition filter: enough pods with enough fully-free
      leaves for the full trees and the remainder tree.  Hopeless shapes
      are skipped before any backtracking. *)
@@ -296,6 +276,20 @@ let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
   in
   over_shapes shapes
 
+let three_level_shapes st ~alloc_size =
+  let topo = State.topo st in
+  Shapes.three_level topo ~size:alloc_size ~n_l:(Topology.m1 topo)
+
+let three_level_unguarded st ~job ~size ~alloc_size ~demand ~budget =
+  search_three_level st ~job ~size ~demand ~budget
+    (three_level_shapes st ~alloc_size)
+
+let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
+  match three_level_shapes st ~alloc_size with
+  | [] -> None
+  | _ when not (three_level_may_fit st ~alloc_size) -> None
+  | shapes -> search_three_level st ~job ~size ~demand ~budget shapes
+
 let allocate ?(demand = 1.0) ?(budget = default_budget) ?(two_level_only = false)
     st ~job ~size ~alloc_size =
   let topo = State.topo st in
@@ -306,7 +300,7 @@ let allocate ?(demand = 1.0) ?(budget = default_budget) ?(two_level_only = false
     || State.total_free_nodes st < alloc_size
   then Partition.Infeasible
   else begin
-    match try_two_level st ~job ~size ~alloc_size ~demand with
+    match Search.first_two_level st ~job ~size ~alloc_size ~demand with
     | Some p -> Partition.Found p
     | None ->
         if two_level_only then Partition.Infeasible

@@ -70,3 +70,26 @@ val get_allocation_whole_leaves :
     problem to two levels.  The returned partition carries the padded
     node set but records the original [size], exposing LaaS's internal
     node fragmentation to the utilization metrics. *)
+
+(** {1 Three-level guard}
+
+    Exposed for the soundness laws in the test suite. *)
+
+val three_level_may_fit : Fattree.State.t -> alloc_size:int -> bool
+(** O(pods) necessary condition checked before the three-level search
+    builds its per-pod snapshot: the machine holds at least
+    [alloc_size / m1] fully-free leaves, as every three-level shape of
+    [alloc_size] nodes needs.  [false] implies {!three_level_unguarded}
+    returns [None] without charging [budget]. *)
+
+val three_level_unguarded :
+  Fattree.State.t ->
+  job:int ->
+  size:int ->
+  alloc_size:int ->
+  demand:float ->
+  budget:int ref ->
+  Partition.t option
+(** The three-level search without {!three_level_may_fit} in front of
+    it: first the full-leaf shapes of [alloc_size], then recursive
+    backtracking over pods, decrementing [budget] per step. *)

@@ -334,45 +334,12 @@ let try_three_level st ~job ~size ~demand ~budget =
   in
   over_shapes shapes
 
-let try_two_level st ~job ~size ~demand =
-  let topo = State.topo st in
-  let m3 = Topology.m3 topo in
-  let shapes = Shapes.two_level topo ~size in
-  (* Necessary-condition precheck from the cached candidate counts: a
-     pod lacking l_t leaves able to carry n_l nodes cannot host the
-     shape's full leaves, so the O(m2) backtracking setup is skipped.
-     The remainder leaf's needs are weaker than n_l, so the precheck
-     never rejects a feasible pod. *)
-  let pod_may_fit (shape : Shapes.two_level) pod =
-    shape.l_t = 0
-    || (State.pod_candidates st ~pod ~demand).(shape.n_l - 1) >= shape.l_t
-  in
-  let rec over_shapes = function
-    | [] -> None
-    | (shape : Shapes.two_level) :: rest ->
-        let rec over_pods pod =
-          if pod >= m3 then None
-          else if not (pod_may_fit shape pod) then over_pods (pod + 1)
-          else begin
-            match Search.find_two_level st ~job ~pod ~shape ~demand with
-            | Some tree ->
-                Some
-                  { Partition.job; size; full_trees = [| tree |]; rem_tree = None }
-            | None -> over_pods (pod + 1)
-          end
-        in
-        (match over_pods 0 with
-        | Some _ as ok -> ok
-        | None -> over_shapes rest)
-  in
-  over_shapes shapes
-
 let probe ?(demand = 1.0) ?(budget = default_budget) st ~job ~size =
   let topo = State.topo st in
   if size <= 0 || size > Topology.num_nodes topo || State.total_free_nodes st < size
   then Partition.Infeasible
   else begin
-    match try_two_level st ~job ~size ~demand with
+    match Search.first_two_level st ~job ~size ~alloc_size:size ~demand with
     | Some p -> Partition.Found p
     | None -> (
         let budget = ref budget in

@@ -116,6 +116,38 @@ let find_two_level st ~job ~pod ~(shape : Shapes.two_level) ~demand =
       ignore job;
       Some { Partition.pod; full_leaves; rem_leaf; spine_sets = [||] }
 
+(* Necessary conditions read from State's cached per-pod row, where
+   [c.(n-1)] counts leaves able to carry [n] nodes: the shape's [l_t]
+   full leaves each carry [n_l], and a remainder leaf is a further,
+   distinct leaf carrying [n_rl] — as can each full leaf, since
+   [n_rl < n_l]. *)
+let pod_may_fit st ~pod ~(shape : Shapes.two_level) ~demand =
+  let c = State.pod_candidates st ~pod ~demand in
+  c.(shape.n_l - 1) >= shape.l_t
+  && (shape.n_rl = 0 || c.(shape.n_rl - 1) >= shape.l_t + 1)
+
+let first_two_level st ~job ~size ~alloc_size ~demand =
+  let topo = State.topo st in
+  let m3 = Topology.m3 topo in
+  let rec over_shapes = function
+    | [] -> None
+    | shape :: rest ->
+        let rec over_pods pod =
+          if pod >= m3 then over_shapes rest
+          else if not (pod_may_fit st ~pod ~shape ~demand) then
+            over_pods (pod + 1)
+          else begin
+            match find_two_level st ~job ~pod ~shape ~demand with
+            | Some tree ->
+                Some
+                  { Partition.job; size; full_trees = [| tree |]; rem_tree = None }
+            | None -> over_pods (pod + 1)
+          end
+        in
+        over_pods 0
+  in
+  over_shapes (Shapes.two_level topo ~size:alloc_size)
+
 let find_all st ~pod ~l_t ~n_l ~demand ~budget =
   let infos = pod_leaf_infos st ~pod ~demand in
   let m2 = Array.length infos in

@@ -38,6 +38,29 @@ val find_two_level :
     concrete nodes, L2 index sets (including the remainder leaf's
     [Sr ⊂ S]) and no spine sets. *)
 
+val pod_may_fit :
+  Fattree.State.t -> pod:int -> shape:Shapes.two_level -> demand:float -> bool
+(** Necessary condition for {!find_two_level} to succeed, read from the
+    pod's {!Fattree.State.pod_candidates} row (O(1) unless the row is
+    stale): the pod has [l_t] leaves able to
+    carry [n_l] nodes and, when [n_rl > 0], [l_t + 1] leaves able to
+    carry [n_rl] (the remainder leaf is distinct from the full leaves).
+    [false] implies [find_two_level] returns [None]. *)
+
+val first_two_level :
+  Fattree.State.t ->
+  job:int ->
+  size:int ->
+  alloc_size:int ->
+  demand:float ->
+  Partition.t option
+(** The two-level driver shared by Jigsaw, LaaS and LC/LC+S: the first
+    pod, over the two-level shapes of [alloc_size] in {!Shapes.two_level}
+    order and then pods in index order, where {!find_two_level} succeeds.
+    Pods failing {!pod_may_fit} are skipped without building their leaf
+    infos.  The partition records [size] as the job's size.  Charges no
+    budget. *)
+
 val find_all :
   Fattree.State.t ->
   pod:int ->

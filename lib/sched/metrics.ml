@@ -30,7 +30,7 @@ type t = {
   grown : int;
   healthy_fraction : float;
   util_vs_healthy : float;
-  series : (float * float) array;
+  series : float array; (* flattened (time, utilization) pairs *)
 }
 
 let mean_turnaround jobs ~large_only =
@@ -47,6 +47,14 @@ let mean_turnaround jobs ~large_only =
     in
     (total /. float_of_int n, n)
   end
+
+let series_length m = Array.length m.series / 2
+let series_point m i = (m.series.(2 * i), m.series.((2 * i) + 1))
+
+let iter_series m f =
+  for i = 0 to series_length m - 1 do
+    f m.series.(2 * i) m.series.((2 * i) + 1)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable output                                             *)
@@ -95,7 +103,7 @@ let json_fields m =
   @ [
       n "healthy_fraction" m.healthy_fraction;
       n "util_vs_healthy" m.util_vs_healthy;
-      i "series_points" (Array.length m.series);
+      i "series_points" (series_length m);
     ]
 
 let to_json_string ?(extra = []) m =
@@ -127,9 +135,8 @@ let fingerprint m =
         Buffer.add_char b '\n'
       end)
     (json_fields m);
-  Array.iter
-    (fun (t, u) -> Buffer.add_string b (Printf.sprintf "%.17g,%.17g\n" t u))
-    m.series;
+  iter_series m (fun t u ->
+      Buffer.add_string b (Printf.sprintf "%.17g,%.17g\n" t u));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Manifest round-trip: a result row must come back bit-identical so a
@@ -138,12 +145,10 @@ let fingerprint m =
    and free of the characters the flat JSON writer escapes. *)
 
 let series_encode m =
-  let b = Buffer.create (16 * Array.length m.series) in
-  Array.iteri
-    (fun idx (t, u) ->
-      if idx > 0 then Buffer.add_char b ' ';
-      Buffer.add_string b (Printf.sprintf "%h:%h" t u))
-    m.series;
+  let b = Buffer.create (8 * Array.length m.series) in
+  iter_series m (fun t u ->
+      if Buffer.length b > 0 then Buffer.add_char b ' ';
+      Buffer.add_string b (Printf.sprintf "%h:%h" t u));
   Buffer.contents b
 
 let series_decode s =
@@ -155,10 +160,9 @@ let series_decode s =
              match String.split_on_char ':' pair with
              (* %h prints "0x1.8p-2": the mantissa/exponent separator is
                 'p', so ':' splits cleanly. *)
-             | [ t; u ] -> (float_of_string t, float_of_string u)
+             | [ t; u ] -> [ float_of_string t; float_of_string u ]
              | _ -> failwith pair)
-      |> Array.of_list
-      |> Result.ok
+      |> List.concat |> Array.of_list |> Result.ok
     with Failure _ ->
       Error "malformed series string (expected space-separated t:u pairs)"
 
@@ -175,10 +179,10 @@ let of_json ~series fields =
     match series_decode series with
     | Error m -> Error m
     | Ok series ->
-        if Array.length series <> int "series_points" then
+        if Array.length series / 2 <> int "series_points" then
           Error
             (Printf.sprintf "series has %d points, row says %d"
-               (Array.length series) (int "series_points"))
+               (Array.length series / 2) (int "series_points"))
         else
           Ok
             {
@@ -215,9 +219,7 @@ let of_json ~series fields =
 
 let write_series_csv oc m =
   output_string oc "time,utilization\n";
-  Array.iter
-    (fun (t, u) -> Printf.fprintf oc "%.17g,%.17g\n" t u)
-    m.series
+  iter_series m (fun t u -> Printf.fprintf oc "%.17g,%.17g\n" t u)
 
 let pp_row ppf m =
   Format.fprintf ppf

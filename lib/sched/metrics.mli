@@ -77,12 +77,21 @@ type t = {
           of nameplate capacity: requested node-seconds over healthy
           node-seconds.  Equals [avg_utilization] (up to rounding) when
           nothing fails. *)
-  series : (float * float) array;
+  series : float array;
       (** Instantaneous utilization over the whole run: (time, requested
-          nodes / system nodes) at every schedule/completion event.  For
-          CSV export and plotting; the steady-window metrics above are
-          derived from it. *)
+          nodes / system nodes) at every schedule/completion event,
+          flattened — point [i] is [(series.(2i), series.(2i+1))], read
+          it with {!series_point}.  Kept unboxed because sweeps and the
+          benchmark hold many result rows at once.  For CSV export and
+          plotting; the steady-window metrics above are derived from
+          it. *)
 }
+
+val series_length : t -> int
+(** Number of points in {!field-series}. *)
+
+val series_point : t -> int -> float * float
+(** [series_point m i] is the [i]-th (time, utilization) point. *)
 
 val pp_row : Format.formatter -> t -> unit
 (** One-line summary (the [Human] face of {!pp}). *)
@@ -134,7 +143,9 @@ val series_encode : t -> string
 (** The utilization series as space-separated [t:u] pairs in [%h] hex
     floats (exact round-trip). *)
 
-val series_decode : string -> ((float * float) array, string) result
+val series_decode : string -> (float array, string) result
+(** Inverse of {!series_encode}, in the flattened layout of
+    {!field-series}. *)
 
 val of_json :
   series:string -> (string * Obs.Json.value) list -> (t, string) result

@@ -1526,9 +1526,12 @@ let finish sim =
       healthy_fraction;
       util_vs_healthy;
       series =
-        Array.map
-          (fun (t, _, rb, _, _) -> (t, float_of_int rb /. float_of_int n_nodes))
-          samples;
+        Array.init
+          (2 * Array.length samples)
+          (fun k ->
+            let t, _, rb, _, _ = samples.(k / 2) in
+            if k mod 2 = 0 then t
+            else float_of_int rb /. float_of_int n_nodes);
     }
   in
   (metrics, finished)

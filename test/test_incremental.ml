@@ -561,6 +561,90 @@ let prop_lc_cached_probe_matches_fresh =
         [ (1.0, 5_000); (0.25, 5_000); (0.5, 200); (0.25, 60) ];
       true)
 
+(* ------------------------------------------------------------------ *)
+(* qcheck: the partition searches' cheap no-fit checks are sound — a
+   "no" from either one means the search it guards would have found
+   nothing.  States come from random claim/release/fail/repair
+   histories; every shape, pod and size is checked at a full and a
+   fractional demand.                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let law_demands = [ 1.0; 0.5 ]
+
+(* Run [check st] on the states reached every 10 steps of a random
+   60-step history on a radix-8 cluster. *)
+let over_random_states seed check =
+  let st = State.create (Topology.of_radix 8) in
+  let prng = Sim.Prng.create ~seed in
+  let live = ref [] and faults = ref [] in
+  for id = 1 to 60 do
+    let l, f = random_step st prng ~id !live !faults in
+    live := l;
+    faults := f;
+    if id mod 10 = 0 then check st
+  done;
+  true
+
+let prop_two_level_precheck_sound =
+  QCheck2.Test.make
+    ~name:"two-level pod precheck says no => find_two_level = None" ~count:30
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      over_random_states seed (fun st ->
+          let topo = State.topo st in
+          let pod_nodes = Topology.m1 topo * Topology.m2 topo in
+          List.iter
+            (fun demand ->
+              for size = 1 to pod_nodes do
+                List.iter
+                  (fun (shape : Jigsaw_core.Shapes.two_level) ->
+                    for pod = 0 to Topology.pods topo - 1 do
+                      if
+                        (not
+                           (Jigsaw_core.Search.pod_may_fit st ~pod ~shape
+                              ~demand))
+                        && Jigsaw_core.Search.find_two_level st ~job:1 ~pod
+                             ~shape ~demand
+                           <> None
+                      then
+                        QCheck2.Test.fail_reportf
+                          "precheck rejects a fitting pod: pod %d shape %a \
+                           demand %g"
+                          pod Jigsaw_core.Shapes.pp_two_level shape demand
+                    done)
+                  (Jigsaw_core.Shapes.two_level topo ~size)
+              done)
+            law_demands))
+
+let prop_three_level_guard_sound =
+  QCheck2.Test.make
+    ~name:"three-level guard says no => unguarded search = None" ~count:30
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      over_random_states seed (fun st ->
+          let topo = State.topo st in
+          List.iter
+            (fun demand ->
+              for alloc_size = 1 to Topology.num_nodes topo do
+                if not (Jigsaw_core.Jigsaw.three_level_may_fit st ~alloc_size)
+                then begin
+                  let budget = ref Jigsaw_core.Jigsaw.default_budget in
+                  match
+                    Jigsaw_core.Jigsaw.three_level_unguarded st ~job:1
+                      ~size:alloc_size ~alloc_size ~demand ~budget
+                  with
+                  | Some _ ->
+                      QCheck2.Test.fail_reportf
+                        "guard rejects a fitting job: alloc %d demand %g"
+                        alloc_size demand
+                  | None ->
+                      if !budget <> Jigsaw_core.Jigsaw.default_budget then
+                        QCheck2.Test.fail_reportf
+                          "guarded-out search charged budget: alloc %d" alloc_size
+                end
+              done)
+            law_demands))
+
 let suite =
   [
     Alcotest.test_case "summaries match scratch recomputation" `Quick
@@ -578,4 +662,6 @@ let suite =
       test_reservation_empty_running;
     QCheck_alcotest.to_alcotest prop_feasibility_rows_match_fresh_resolve;
     QCheck_alcotest.to_alcotest prop_lc_cached_probe_matches_fresh;
+    QCheck_alcotest.to_alcotest prop_two_level_precheck_sound;
+    QCheck_alcotest.to_alcotest prop_three_level_guard_sound;
   ]

@@ -437,7 +437,7 @@ let test_metrics_json_roundtrip () =
   Alcotest.(check int) "num_jobs" m.num_jobs (Obs.Json.int fields "num_jobs");
   Alcotest.(check (float 1e-12)) "avg_utilization" m.avg_utilization
     (Obs.Json.num fields "avg_utilization");
-  Alcotest.(check int) "series_points" (Array.length m.series)
+  Alcotest.(check int) "series_points" (Sched.Metrics.series_length m)
     (Obs.Json.int fields "series_points");
   Alcotest.(check int) "hist key per bucket" (Array.length m.inst_hist)
     (List.length
@@ -468,7 +468,7 @@ let test_series_csv () =
           Sched.Metrics.write_series_csv oc m);
       let lines = In_channel.with_open_text path In_channel.input_lines in
       Alcotest.(check int) "header + one row per point"
-        (1 + Array.length m.series)
+        (1 + Sched.Metrics.series_length m)
         (List.length lines);
       Alcotest.(check string) "header" "time,utilization" (List.hd lines);
       (* Full-precision round trip through the text form. *)
@@ -477,7 +477,7 @@ let test_series_csv () =
           if i > 0 then
             match String.split_on_char ',' line with
             | [ t; u ] ->
-                let et, eu = m.series.(i - 1) in
+                let et, eu = Sched.Metrics.series_point m (i - 1) in
                 Alcotest.(check (float 0.0)) "time" et (float_of_string t);
                 Alcotest.(check (float 0.0)) "util" eu (float_of_string u)
             | _ -> Alcotest.failf "bad csv line %s" line)

@@ -209,7 +209,9 @@ let test_backfilled_job_requeues_without_double_start () =
         (Printf.sprintf "B finished %d times, expected 1" (List.length l)));
   (* A leaked allocation never releases: the requested-busy series would
      end above zero. *)
-  let _, last = m.series.(Array.length m.series - 1) in
+  let _, last =
+    Sched.Metrics.series_point m (Sched.Metrics.series_length m - 1)
+  in
   Alcotest.(check (float 0.0)) "no leaked allocation at end of run" 0.0 last
 
 let test_transient_infeasibility_waits_for_repair () =

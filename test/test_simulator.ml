@@ -237,10 +237,12 @@ let test_estimates_keep_reservations_conservative () =
 let test_series_exposed () =
   let w = workload [ job 0 64 10.0; job 1 128 10.0 ] in
   let m, _ = run w in
-  Alcotest.(check bool) "series non-empty" true (Array.length m.series > 0);
-  Array.iter
-    (fun (_, u) -> Alcotest.(check bool) "fraction" true (u >= 0.0 && u <= 1.0))
-    m.series
+  Alcotest.(check bool) "series non-empty" true
+    (Sched.Metrics.series_length m > 0);
+  for i = 0 to Sched.Metrics.series_length m - 1 do
+    let _, u = Sched.Metrics.series_point m i in
+    Alcotest.(check bool) "fraction" true (u >= 0.0 && u <= 1.0)
+  done
 
 let suite =
   [
