@@ -26,6 +26,15 @@ open Cmdliner
 
 let die fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 1) fmt
 
+(* Run [f], which writes an output file.  A path that cannot be created
+   or written is a bad input like an unreadable file: exit 2 with the
+   system's message, not an uncaught [Sys_error]. *)
+let writing f =
+  try f ()
+  with Sys_error m ->
+    Format.eprintf "cannot write %s@." m;
+    exit 2
+
 (* ------------------------------------------------------------------ *)
 (* Resilience policy: --requeue N | shrink | shrink:N                  *)
 (* ------------------------------------------------------------------ *)

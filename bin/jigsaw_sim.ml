@@ -32,7 +32,7 @@ let checkpoint_loop sim ~every ~out =
   let rec loop t =
     if not (Sched.Simulator.is_finished sim) then begin
       Sched.Simulator.run_until sim t;
-      Sched.Checkpoint.write ~path:out sim;
+      Cli_common.writing (fun () -> Sched.Checkpoint.write ~path:out sim);
       loop (t +. every)
     end
   in
@@ -306,9 +306,10 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
         arm Sys.sigint;
         arm Sys.sigterm;
         match
-          Sched.Sweep.run ~jobs ?manifest:resume_sweep
-            ~should_stop:(fun () -> Atomic.get stop)
-            cells
+          Cli_common.writing (fun () ->
+              Sched.Sweep.run ~jobs ?manifest:resume_sweep
+                ~should_stop:(fun () -> Atomic.get stop)
+                cells)
         with
         | results -> results
         | exception Sched.Sweep.Interrupted ->
@@ -321,7 +322,9 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
                   "; use --resume-sweep FILE to make interrupted sweeps \
                    resumable");
             exit 130)
-    | None, None -> Sched.Sweep.run ~jobs ?manifest:resume_sweep cells
+    | None, None ->
+        Cli_common.writing (fun () ->
+            Sched.Sweep.run ~jobs ?manifest:resume_sweep cells)
     | None, Some path ->
         (* Serial path with a live sink: all cells of one invocation
            append to a single trace file; the per-run [Run_meta] event
@@ -335,7 +338,7 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
           | Ok None -> Obs.Sink.format_of_path path
           | Error m -> die "%s" m
         in
-        let oc = Out_channel.open_text path in
+        let oc = Cli_common.writing (fun () -> Out_channel.open_text path) in
         let sink = Obs.Sink.to_channel fmt oc in
         let results = Array.map (run_serial ~sink) cells in
         Out_channel.close oc;
@@ -376,8 +379,9 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
       match series_out with
       | Some path when not fingerprint ->
           let file = series_file path c in
-          Out_channel.with_open_text file (fun oc ->
-              Sched.Metrics.write_series_csv oc r.metrics);
+          Cli_common.writing (fun () ->
+              Out_channel.with_open_text file (fun oc ->
+                  Sched.Metrics.write_series_csv oc r.metrics));
           if not json then Format.printf "  utilization series -> %s@." file
       | _ -> ())
     results;

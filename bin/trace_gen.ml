@@ -39,7 +39,7 @@ let generate preset all out dir full scale analyze =
               let base = String.lowercase_ascii w.name ^ ".swf" in
               Filename.concat dir base
         in
-        Trace.Swf.save w path;
+        Cli_common.writing (fun () -> Trace.Swf.save w path);
         Format.printf "%s: %d jobs -> %s@." w.name (Trace.Workload.num_jobs w) path
       end)
     entries

@@ -6,24 +6,32 @@
 
 type value = Num of float | Str of string
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
-(* %.17g round-trips every float exactly through float_of_string. *)
+let escape b s =
+  if not (String.exists needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\r' -> Buffer.add_string b "\\r"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
+
+(* %.17g round-trips every float exactly through float_of_string.
+   Integral values print as "%.0f" would, through the cheaper
+   [string_of_int] (which has no negative zero). *)
 let add_num b x =
   if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" x)
+    Buffer.add_string b
+      (if x = 0.0 && Float.sign_bit x then "-0"
+       else string_of_int (int_of_float x))
   else Buffer.add_string b (Printf.sprintf "%.17g" x)
 
 let add_field b ~first key v =
@@ -90,14 +98,15 @@ let parse_string c =
          | 'n' -> Buffer.add_char b '\n'
          | 't' -> Buffer.add_char b '\t'
          | 'r' -> Buffer.add_char b '\r'
-         | 'u' ->
+         | 'u' -> (
              if c.pos + 4 > String.length c.s then error "short \\u escape";
              let hex = String.sub c.s c.pos 4 in
              c.pos <- c.pos + 4;
-             let code = int_of_string ("0x" ^ hex) in
              (* ASCII control escapes only — all this writer emits. *)
-             if code < 0x80 then Buffer.add_char b (Char.chr code)
-             else error "non-ASCII \\u escape %s" hex
+             match int_of_string_opt ("0x" ^ hex) with
+             | Some code when code >= 0 && code < 0x80 ->
+                 Buffer.add_char b (Char.chr code)
+             | _ -> error "bad or non-ASCII \\u escape %s" hex)
          | e -> error "bad escape '\\%c'" e);
         go ()
     | ch -> Buffer.add_char b ch; go ()

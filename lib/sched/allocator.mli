@@ -105,6 +105,10 @@ val make :
     and — unless a native one is supplied — [try_resize] from the probe,
     so a new scheme gets the full sized API for free. *)
 
+val cables_healthy : Fattree.State.t -> Fattree.Alloc.t -> bool
+(** No leaf or L2 cable of the allocation is failed — the precondition
+    of every in-place resize (and of the simulator's shrink recovery). *)
+
 val baseline : t
 (** Traditional unconstrained scheduling (nodes only, links shared). *)
 

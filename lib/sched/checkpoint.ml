@@ -1,6 +1,7 @@
-(* Checkpoint files: a Simulator.Snapshot serialized as a stream of flat
-   JSON records (one per line, Obs.Json writer — no new dependencies),
-   bracketed by a versioned header and an integrity trailer.
+(* Checkpoint files: the records of a Simulator.Snapshot, one flat JSON
+   object per line (Obs.Json writer — no new dependencies), bracketed by
+   a versioned header and an integrity trailer.  Simulator encodes and
+   decodes the records; this module owns only the framing.
 
    The file is self-describing: it carries the full workload and fault
    trace plus every piece of dynamic state, so restore needs nothing but
@@ -10,8 +11,6 @@
    records the line count and the MD5 of every preceding byte; load
    verifies both before parsing, so truncation or corruption fails
    loudly with an integrity error instead of resuming from garbage. *)
-
-open Simulator.Snapshot
 
 (* Version 2 (moldable jobs): job rows may carry "min"/"max" size-spec
    fields, run rows an "epoch" (resize count), and the header a "shrink"
@@ -25,25 +24,21 @@ let version = 3
 let oldest_readable_version = 1
 let magic = "jigsaw-checkpoint"
 
-(* ------------------------------------------------------------------ *)
-(* Encoding                                                            *)
-(* ------------------------------------------------------------------ *)
+(* The header counts the rows of each repeated kind: (header key, kind). *)
+let counted =
+  [
+    ("jobs", "job");
+    ("faults", "fault");
+    ("events", "ev");
+    ("running", "run");
+    ("finished", "fin");
+    ("samples", "smp");
+  ]
 
-let num x = Obs.Json.Num x
-let int_ i = Obs.Json.Num (float_of_int i)
-let str s = Obs.Json.Str s
-let ints_str a = Array.to_list a |> List.map string_of_int |> String.concat " "
-
-let pairs_str a =
-  Array.to_list a
-  |> List.map (fun (a, b) -> Printf.sprintf "%d:%d" a b)
-  |> String.concat " "
-
-(* Hex floats round-trip exactly and contain no ':' or ' '. *)
-let nofit_str a =
-  Array.to_list a
-  |> List.map (fun (size, bw) -> Printf.sprintf "%d:%h" size bw)
-  |> String.concat " "
+let count kind records =
+  List.fold_left
+    (fun n r -> if Obs.Json.str r "record" = kind then n + 1 else n)
+    0 records
 
 (* Durability helpers.  [fsync_dir] is best-effort: directory fsync is
    the POSIX way to persist a rename, but some filesystems reject fsync
@@ -56,138 +51,24 @@ let fsync_dir dir =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       Unix.close fd
 
-let save ?(meta = []) ~path (s : Simulator.Snapshot.t) =
+let save ?(meta = []) ~path ({ params; records } : Simulator.Snapshot.t) =
   let buf = Buffer.create 65536 in
   let line fields =
     Obs.Json.write buf fields;
     Buffer.add_char buf '\n'
   in
   line
-    ([ ("record", str magic); ("version", int_ version) ]
-    @ Simulator.Params.to_fields s.params
-    @ [
-        ("jobs", int_ (Array.length s.jobs));
-        ("faults", int_ (Array.length s.faults));
-        ("events", int_ (Array.length s.events));
-        ("running", int_ (Array.length s.running));
-        ("finished", int_ (Array.length s.finished));
-        ("samples", int_ (Array.length s.samples));
-      ]
+    ([
+       ("record", Obs.Json.Str magic);
+       ("version", Obs.Json.Num (float_of_int version));
+     ]
+    @ Simulator.Params.to_fields params
+    @ List.map
+        (fun (key, kind) ->
+          (key, Obs.Json.Num (float_of_int (count kind records))))
+        counted
     @ meta);
-  Array.iter
-    (fun (j : Trace.Job.t) ->
-      line
-        ([
-           ("record", str "job");
-           ("id", int_ j.id);
-           ("size", int_ j.size);
-           ("runtime", num j.runtime);
-           ("est", num j.est_runtime);
-           ("arrival", num j.arrival);
-           ("bw", num j.bw_class);
-         ]
-        @
-        match j.spec with
-        | Trace.Job.Rigid _ -> []
-        | Trace.Job.Moldable { min_size; max_size; pref = _ } ->
-            [ ("min", int_ min_size); ("max", int_ max_size) ]))
-    s.jobs;
-  Array.iter
-    (fun (e : Trace.Faults.event) ->
-      line
-        [
-          ("record", str "fault");
-          ("t", num e.time);
-          ("kind", str (match e.kind with Fail -> "fail" | Repair -> "repair"));
-          ("target", str (Trace.Faults.target_name e.target));
-          ("id", int_ (Trace.Faults.target_id e.target));
-        ])
-    s.faults;
-  line
-    [
-      ("record", str "engine");
-      ("clock", num s.clock);
-      ("steps", int_ s.steps);
-      ("next_seq", int_ s.next_seq);
-    ];
-  Array.iter
-    (fun (ev : event) ->
-      line
-        [
-          ("record", str "ev");
-          ("t", num ev.ev_time);
-          ("prio", int_ ev.ev_priority);
-          ("seq", int_ ev.ev_seq);
-          ("tag", str ev.ev_tag);
-        ])
-    s.events;
-  line [ ("record", str "queue"); ("entries", str (pairs_str s.queue)) ];
-  line [ ("record", str "pending"); ("ids", str (ints_str s.pending_live)) ];
-  line [ ("record", str "gens"); ("entries", str (pairs_str s.pending_gens)) ];
-  line
-    [
-      ("record", str "nofit");
-      ("gen", int_ s.nofit_release_gen);
-      ("entries", str (nofit_str s.nofit));
-    ];
-  line [ ("record", str "kills"); ("entries", str (pairs_str s.kills)) ];
-  Array.iter
-    (fun (rj : running_job) ->
-      let a = rj.rs_alloc in
-      line
-        ([
-           ("record", str "run");
-           ("id", int_ rj.rs_job);
-           ("attempt", int_ rj.rs_attempt);
-         ]
-        @ (if rj.rs_epoch > 0 then [ ("epoch", int_ rj.rs_epoch) ] else [])
-        @ [
-            ("start", num rj.rs_start);
-            ("end", num rj.rs_end);
-            ("est_end", num rj.rs_est_end);
-            ("size", int_ a.size);
-            ("bw", num a.bw);
-            ("nodes", str (ints_str a.nodes));
-            ("leaf", str (ints_str a.leaf_cables));
-            ("l2", str (ints_str a.l2_cables));
-          ]))
-    s.running;
-  Array.iter
-    (fun (f : finished_job) ->
-      line
-        [
-          ("record", str "fin");
-          ("id", int_ f.fs_job);
-          ("start", num f.fs_start);
-          ("end", num f.fs_end);
-        ])
-    s.finished;
-  Array.iter
-    (fun (t, ab, rb, p, fl) ->
-      line
-        [
-          ("record", str "smp");
-          ("t", num t);
-          ("ab", int_ ab);
-          ("rb", int_ rb);
-          ("p", int_ p);
-          ("f", int_ fl);
-        ])
-    s.samples;
-  line
-    ([ ("record", str "acc") ]
-    @ Simulator.Acc.to_fields s.acc
-    @ [
-        ("st_claims", int_ s.st_claims);
-        ("st_releases", int_ s.st_releases);
-        ("st_failures", int_ s.st_failures);
-        ("st_repairs", int_ s.st_repairs);
-        ("st_clones", int_ s.st_clones);
-      ]
-    @
-    match s.reserved with
-    | None -> []
-    | Some (id, at) -> [ ("reserved_id", int_ id); ("reserved_at", num at) ]);
+  List.iter line records;
   (* Integrity trailer: line count and MD5 of everything above it. *)
   let body = Buffer.contents buf in
   let lines =
@@ -195,9 +76,9 @@ let save ?(meta = []) ~path (s : Simulator.Snapshot.t) =
   in
   Obs.Json.write buf
     [
-      ("record", str "end");
-      ("lines", int_ lines);
-      ("md5", str (Digest.to_hex (Digest.string body)));
+      ("record", Obs.Json.Str "end");
+      ("lines", Obs.Json.Num (float_of_int lines));
+      ("md5", Obs.Json.Str (Digest.to_hex (Digest.string body)));
     ];
   Buffer.add_char buf '\n';
   let tmp = path ^ ".tmp" in
@@ -219,42 +100,6 @@ let save ?(meta = []) ~path (s : Simulator.Snapshot.t) =
 exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
-let parse_pairs what s =
-  if s = "" then [||]
-  else
-    String.split_on_char ' ' s
-    |> List.map (fun entry ->
-           match String.split_on_char ':' entry with
-           | [ a; b ] -> (
-               match (int_of_string_opt a, int_of_string_opt b) with
-               | Some a, Some b -> (a, b)
-               | _ -> fail "malformed %s entry %S" what entry)
-           | _ -> fail "malformed %s entry %S" what entry)
-    |> Array.of_list
-
-let parse_ints what s =
-  if s = "" then [||]
-  else
-    String.split_on_char ' ' s
-    |> List.map (fun v ->
-           match int_of_string_opt v with
-           | Some i -> i
-           | None -> fail "malformed %s entry %S" what v)
-    |> Array.of_list
-
-let parse_nofit s =
-  if s = "" then [||]
-  else
-    String.split_on_char ' ' s
-    |> List.map (fun entry ->
-           match String.split_on_char ':' entry with
-           | [ size; bw ] -> (
-               match (int_of_string_opt size, float_of_string_opt bw) with
-               | Some size, Some bw -> (size, bw)
-               | _ -> fail "malformed nofit entry %S" entry)
-           | _ -> fail "malformed nofit entry %S" entry)
-    |> Array.of_list
 
 (* Split off the integrity trailer and verify it against the body bytes
    before any record parsing. *)
@@ -305,130 +150,24 @@ let load_ext ~path =
       | Ok r -> r
       | Error m -> fail "%s: %s" path m
     in
-    let header, rest =
+    let header, records =
       match records with
       | h :: rest -> (h, rest)
       | [] -> fail "%s: empty checkpoint" path
     in
-    let jstr = Obs.Json.str and jnum = Obs.Json.num and jint = Obs.Json.int in
-    if jstr header "record" <> magic then
+    let jint = Obs.Json.int in
+    if Obs.Json.str header "record" <> magic then
       fail "%s: not a checkpoint file (bad magic)" path;
     let v = jint header "version" in
     if v < oldest_readable_version || v > version then
       fail "%s: unsupported checkpoint version %d (this build reads %d-%d)"
         path v oldest_readable_version version;
-    let jobs = ref [] and faults = ref [] and events = ref [] in
-    let running = ref [] and finished = ref [] and samples = ref [] in
-    let engine = ref None and acc = ref None in
-    let queue = ref None and pending = ref None and gens = ref None in
-    let nofit = ref None and kills = ref None in
     List.iter
-      (fun f ->
-        match jstr f "record" with
-        | "job" ->
-            let size = jint f "size" in
-            let spec =
-              (* v1 rows (and v2 rigid rows) carry no size-spec fields. *)
-              if Obs.Json.mem f "min" then
-                Trace.Job.Moldable
-                  {
-                    min_size = jint f "min";
-                    max_size = jint f "max";
-                    pref = size;
-                  }
-              else Trace.Job.Rigid size
-            in
-            jobs :=
-              {
-                Trace.Job.id = jint f "id";
-                size;
-                spec;
-                runtime = jnum f "runtime";
-                est_runtime = jnum f "est";
-                arrival = jnum f "arrival";
-                bw_class = jnum f "bw";
-              }
-              :: !jobs
-        | "fault" ->
-            let kind =
-              match jstr f "kind" with
-              | "fail" -> Trace.Faults.Fail
-              | "repair" -> Trace.Faults.Repair
-              | k -> fail "%s: unknown fault kind %S" path k
-            in
-            let target =
-              match Trace.Faults.target_of_name (jstr f "target") (jint f "id")
-              with
-              | Ok t -> t
-              | Error m -> fail "%s: %s" path m
-            in
-            faults := { Trace.Faults.time = jnum f "t"; kind; target } :: !faults
-        | "engine" -> engine := Some f
-        | "ev" ->
-            events :=
-              {
-                ev_time = jnum f "t";
-                ev_priority = jint f "prio";
-                ev_seq = jint f "seq";
-                ev_tag = jstr f "tag";
-              }
-              :: !events
-        | "queue" -> queue := Some (parse_pairs "queue" (jstr f "entries"))
-        | "pending" -> pending := Some (parse_ints "pending" (jstr f "ids"))
-        | "gens" -> gens := Some (parse_pairs "gens" (jstr f "entries"))
-        | "nofit" -> nofit := Some (jint f "gen", parse_nofit (jstr f "entries"))
-        | "kills" -> kills := Some (parse_pairs "kills" (jstr f "entries"))
-        | "run" ->
-            let id = jint f "id" in
-            running :=
-              {
-                rs_job = id;
-                rs_attempt = jint f "attempt";
-                rs_epoch = (if Obs.Json.mem f "epoch" then jint f "epoch" else 0);
-                rs_start = jnum f "start";
-                rs_end = jnum f "end";
-                rs_est_end = jnum f "est_end";
-                rs_alloc =
-                  {
-                    Fattree.Alloc.job = id;
-                    size = jint f "size";
-                    bw = jnum f "bw";
-                    nodes = parse_ints "nodes" (jstr f "nodes");
-                    leaf_cables = parse_ints "leaf" (jstr f "leaf");
-                    l2_cables = parse_ints "l2" (jstr f "l2");
-                  };
-              }
-              :: !running
-        | "fin" ->
-            finished :=
-              {
-                fs_job = jint f "id";
-                fs_start = jnum f "start";
-                fs_end = jnum f "end";
-              }
-              :: !finished
-        | "smp" ->
-            samples :=
-              (jnum f "t", jint f "ab", jint f "rb", jint f "p", jint f "f")
-              :: !samples
-        | "acc" -> acc := Some f
-        | r -> fail "%s: unknown record type %S" path r)
-      rest;
-    let require what = function
-      | Some v -> v
-      | None -> fail "%s: missing %s record" path what
-    in
-    let engine = require "engine" !engine in
-    let acc = require "acc" !acc in
-    let nofit_gen, nofit = require "nofit" !nofit in
-    let arr what counted got =
-      let a = Array.of_list (List.rev got) in
-      let expected = jint header counted in
-      if Array.length a <> expected then
-        fail "%s: %d %s records, header says %d" path (Array.length a) what
-          expected;
-      a
-    in
+      (fun (key, kind) ->
+        let n = count kind records and expected = jint header key in
+        if n <> expected then
+          fail "%s: %d %s records, header says %d" path n kind expected)
+      counted;
     let params =
       (* Versions 1-2 named the trace "trace". *)
       let fields =
@@ -442,37 +181,7 @@ let load_ext ~path =
       | Ok p -> p
       | Error m -> fail "%s: %s" path m
     in
-    let s =
-      {
-        params;
-        jobs = arr "job" "jobs" !jobs;
-        faults = arr "fault" "faults" !faults;
-        clock = jnum engine "clock";
-        steps = jint engine "steps";
-        next_seq = jint engine "next_seq";
-        events = arr "event" "events" !events;
-        queue = require "queue" !queue;
-        pending_live = require "pending" !pending;
-        pending_gens = require "gens" !gens;
-        running = arr "running" "running" !running;
-        nofit;
-        nofit_release_gen = nofit_gen;
-        kills = require "kills" !kills;
-        reserved =
-          (if Obs.Json.mem acc "reserved_id" then
-             Some (jint acc "reserved_id", jnum acc "reserved_at")
-           else None);
-        acc = Simulator.Acc.of_fields acc;
-        samples = arr "sample" "samples" !samples;
-        finished = arr "finished" "finished" !finished;
-        st_claims = jint acc "st_claims";
-        st_releases = jint acc "st_releases";
-        st_failures = jint acc "st_failures";
-        st_repairs = jint acc "st_repairs";
-        st_clones = jint acc "st_clones";
-      }
-    in
-    Ok (s, header)
+    Ok ({ Simulator.Snapshot.params; records }, header)
   with
   | Bad m -> Error m
   | Obs.Json.Parse_error m -> Error (Printf.sprintf "%s: %s" path m)

@@ -1,11 +1,14 @@
 (** Deterministic checkpoint files for mid-flight simulations.
 
-    A checkpoint serializes a {!Simulator.Snapshot.t} to a versioned,
-    self-describing file: a stream of flat JSON records (one per line,
-    written with the existing [Obs.Json] writer — no new dependencies)
-    opened by a [jigsaw-checkpoint] header carrying the format version
-    and record counts, and closed by an integrity trailer holding the
-    line count and the MD5 digest of every preceding byte.
+    A checkpoint file frames the records of a {!Simulator.Snapshot.t}:
+    a stream of flat JSON lines (written with the existing [Obs.Json]
+    writer — no new dependencies) opened by a [jigsaw-checkpoint] header
+    carrying the format version, the configuration and the row count of
+    each repeated record kind, and closed by an integrity trailer
+    holding the line count and the MD5 digest of every preceding byte.
+    {!Simulator.snapshot} writes the records and
+    {!Simulator.of_snapshot} reads them; this module owns only the
+    framing, so a loaded file saves back to its own bytes.
 
     Guarantees:
 
@@ -43,7 +46,9 @@ val save :
 
 val load : path:string -> (Simulator.Snapshot.t, string) result
 (** Read a checkpoint back.  [Error] on I/O failure, a failed integrity
-    check, a bad magic/version, or any malformed or missing record. *)
+    check, an unparseable line, a bad magic/version/configuration, or a
+    record count that disagrees with the header.  The rows themselves
+    are decoded, and checked, by {!Simulator.of_snapshot}. *)
 
 val load_ext :
   path:string ->
@@ -70,4 +75,5 @@ val restore :
   unit ->
   (Simulator.t, string) result
 (** [load] followed by {!Simulator.of_snapshot}: a live simulation ready
-    for [Simulator.run_until] / [Simulator.finish]. *)
+    for [Simulator.run_until] / [Simulator.finish].  Never raises: every
+    bad file, however it is wrong, is an [Error]. *)

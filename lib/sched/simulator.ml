@@ -163,8 +163,8 @@ module Params = struct
 end
 
 (* The run's scalar accumulators, declared once: [sim] holds the live
-   record, a snapshot holds a copy, and the checkpoint [acc] row is
-   written and read through [fields]. *)
+   record, and the checkpoint [acc] row is written and read through
+   [fields]. *)
 module Acc = struct
   type t = {
     mutable sched_clock : float;  (* wall time spent deciding *)
@@ -206,8 +206,6 @@ module Acc = struct
       started_total = 0;
       cancelled = 0;
     }
-
-  let copy a = { a with sched_clock = a.sched_clock }
 
   (* One entry per accumulator: its checkpoint key, reader and writer.
      [zero_if_absent] marks counters newer than the oldest readable
@@ -463,6 +461,15 @@ let net_retract sim job =
             });
       net_sample_event sim net
 
+(* The head reservation ends once its job leaves the queue (started,
+   rejected or cancelled). *)
+let clear_reservation sim job =
+  match sim.reserved with
+  | Some (id, _) when id = job ->
+      sim.reserved <- None;
+      emit sim (fun () -> Obs.Event.Reservation_clear { job })
+  | _ -> ()
+
 (* Earliest estimated completion time at which [job] could be placed,
    with the allocation it would get then.  [running] pairs each live
    allocation with its estimated end time; [None] means the job cannot
@@ -632,11 +639,7 @@ let rec start_job sim ~ctx (j : Trace.Job.t) (alloc : Alloc.t) =
   sim.acc.last_start_time <- now;
   sim.acc.started_total <- sim.acc.started_total + 1;
   if sim.acc.first_start_time < 0.0 then sim.acc.first_start_time <- now;
-  (match sim.reserved with
-  | Some (id, _) when id = j.id ->
-      sim.reserved <- None;
-      emit sim (fun () -> Obs.Event.Reservation_clear { job = j.id })
-  | _ -> ());
+  clear_reservation sim j.id;
   prof_incr sim
     (match ctx with
     | Obs.Event.Head -> "sched/starts"
@@ -919,11 +922,7 @@ and run_pass sim =
           ignore (Queue.pop sim.pending_ids);
           Hashtbl.remove sim.pending head.id;
           sim.acc.rejected <- sim.acc.rejected + 1;
-          (match sim.reserved with
-          | Some (id, _) when id = head.id ->
-              sim.reserved <- None;
-              emit sim (fun () -> Obs.Event.Reservation_clear { job = head.id })
-          | _ -> ());
+          clear_reservation sim head.id;
           emit sim (fun () -> Obs.Event.Reject { job = head.id });
           request_pass sim
       | None ->
@@ -1078,20 +1077,13 @@ let shrink_or_kill sim (r : running) =
       (fun acc nd -> if State.node_failed sim.st nd then acc + 1 else acc)
       0 alloc.Alloc.nodes
   in
-  let cables_ok =
-    Array.for_all
-      (fun c -> not (State.leaf_cable_failed sim.st c))
-      alloc.Alloc.leaf_cables
-    && Array.for_all
-         (fun c -> not (State.l2_cable_failed sim.st c))
-         alloc.Alloc.l2_cables
-  in
   let target = alloc.Alloc.size - failed_nodes in
   if
     not
       (sim.cfg.resilience.shrink
       && Trace.Job.is_moldable r.r_job
-      && cables_ok && failed_nodes > 0
+      && Allocator.cables_healthy sim.st alloc
+      && failed_nodes > 0
       && target >= Trace.Job.min_size r.r_job)
   then kill_job sim r
   else
@@ -1230,11 +1222,7 @@ let cancel sim id =
        like a requeue invalidates a backfilled job's stale entry. *)
     Hashtbl.remove sim.pending_gen id;
     sim.acc.cancelled <- sim.acc.cancelled + 1;
-    (match sim.reserved with
-    | Some (rid, _) when rid = id ->
-        sim.reserved <- None;
-        emit sim (fun () -> Obs.Event.Reservation_clear { job = id })
-    | _ -> ());
+    clear_reservation sim id;
     record sim;
     (* The head (or its reservation) may have been the cancelled job;
        re-run the pass so the queue reflects the withdrawal. *)
@@ -1541,166 +1529,280 @@ type t = sim
 let run_detailed cfg w = finish (start cfg w)
 let run cfg w = fst (run_detailed cfg w)
 
-(* ---- checkpoint snapshots ------------------------------------------ *)
+(* ---- checkpoint records -------------------------------------------- *)
 
+(* A snapshot is the simulation's dynamic state as checkpoint records:
+   flat JSON rows tagged by a "record" kind, in file order.  [snapshot]
+   writes every row and [of_snapshot] reads every row back, so each
+   piece of state has one encoder and one decoder, both next to the
+   [sim] record; [Checkpoint] adds only the file framing. *)
 module Snapshot = struct
-  type event = { ev_time : float; ev_priority : int; ev_seq : int; ev_tag : string }
-
-  type running_job = {
-    rs_job : int;
-    rs_attempt : int;
-    rs_epoch : int;  (** 0 unless the attempt was resized in place. *)
-    rs_start : float;
-    rs_end : float;
-    rs_est_end : float;
-    rs_alloc : Alloc.t;  (** [rs_alloc.size] is the granted size. *)
-  }
-
-  type finished_job = { fs_job : int; fs_start : float; fs_end : float }
-
   type t = {
     params : Params.t;
-    jobs : Trace.Job.t array;
-    faults : Trace.Faults.event array;
-    (* engine *)
-    clock : float;
-    steps : int;
-    next_seq : int;
-    events : event array;  (** Pending events in [seq] order. *)
-    (* scheduler state *)
-    queue : (int * int) array;  (** [(id, stamp)], queue front first. *)
-    pending_live : int array;  (** Ids in the pending table, ascending. *)
-    pending_gens : (int * int) array;  (** [(id, stamp)], ascending id. *)
-    running : running_job array;  (** Ascending job id. *)
-    nofit : (int * float) array;  (** Memoized no-fit classes, ascending. *)
-    nofit_release_gen : int;
-    kills : (int * int) array;  (** [(id, kills)], ascending id. *)
-    reserved : (int * float) option;
-    acc : Acc.t;
-    samples : (float * int * int * int * int) array;  (** Chronological. *)
-    finished : finished_job array;  (** Completion order. *)
-    (* state operation counters *)
-    st_claims : int;
-    st_releases : int;
-    st_failures : int;
-    st_repairs : int;
-    st_clones : int;
+    records : (string * Obs.Json.value) list list;
   }
 end
-
-let sorted_pairs tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort compare |> Array.of_list
-
-let snapshot sim : Snapshot.t =
-  if sim.pass_scheduled then
-    invalid_arg
-      "Simulator.snapshot: a scheduling pass is in flight; snapshot only \
-       after run_until";
-  let events =
-    Sim.Engine.pending_events sim.engine
-    |> List.map (fun (t, p, s, tag) ->
-           if tag = "" || tag = "p" then
-             invalid_arg
-               (Printf.sprintf
-                  "Simulator.snapshot: unserializable pending event (tag %S)"
-                  tag);
-           { Snapshot.ev_time = t; ev_priority = p; ev_seq = s; ev_tag = tag })
-    |> Array.of_list
-  in
-  let running =
-    Hashtbl.fold
-      (fun _ r acc ->
-        {
-          Snapshot.rs_job = r.r_job.id;
-          rs_attempt = r.r_attempt;
-          rs_epoch = r.r_epoch;
-          rs_start = r.r_start;
-          rs_end = r.r_end;
-          rs_est_end = r.r_est_end;
-          rs_alloc = r.r_alloc;
-        }
-        :: acc)
-      sim.running []
-    |> List.sort (fun a b -> compare a.Snapshot.rs_job b.Snapshot.rs_job)
-    |> Array.of_list
-  in
-  let finished =
-    List.rev_map
-      (fun (pj : Metrics.per_job) ->
-        {
-          Snapshot.fs_job = pj.job.id;
-          fs_start = pj.start_time;
-          fs_end = pj.end_time;
-        })
-      sim.finished
-    |> Array.of_list
-  in
-  {
-    Snapshot.params = Params.of_config sim.cfg sim.workload;
-    jobs =
-      (match sim.dyn_jobs with
-      | [] -> sim.workload.Trace.Workload.jobs
-      | dyn ->
-          Array.append sim.workload.Trace.Workload.jobs
-            (Array.of_list (List.rev dyn)));
-    faults = fault_log sim;
-    clock = Sim.Engine.now sim.engine;
-    steps = Sim.Engine.steps sim.engine;
-    next_seq = Sim.Engine.next_seq sim.engine;
-    events;
-    queue =
-      (let acc = ref [] in
-       Queue.iter (fun e -> acc := e :: !acc) sim.pending_ids;
-       Array.of_list (List.rev !acc));
-    pending_live =
-      (Hashtbl.fold (fun id _ acc -> id :: acc) sim.pending []
-      |> List.sort compare |> Array.of_list);
-    pending_gens = sorted_pairs sim.pending_gen;
-    running;
-    nofit =
-      (Hashtbl.fold (fun k () acc -> k :: acc) sim.nofit []
-      |> List.sort compare |> Array.of_list);
-    nofit_release_gen = sim.nofit_release_gen;
-    kills = sorted_pairs sim.kills;
-    reserved = sim.reserved;
-    acc = Acc.copy sim.acc;
-    samples = Array.of_list (List.rev sim.samples);
-    finished;
-    st_claims = State.claim_count sim.st;
-    st_releases = State.release_count sim.st;
-    st_failures = State.failure_count sim.st;
-    st_repairs = State.repair_count sim.st;
-    st_clones = State.clone_count sim.st;
-  }
 
 exception Restore_error of string
 
 let restore_fail fmt =
   Printf.ksprintf (fun m -> raise (Restore_error m)) fmt
 
+let num x = Obs.Json.Num x
+let int_ i = Obs.Json.Num (float_of_int i)
+let str s = Obs.Json.Str s
+
+(* Lists travel packed into one string field: space-separated entries,
+   pairs as "a:b", floats in hex ([%h]: exact, and free of ':' and ' '). *)
+let pack f l = str (String.concat " " (List.map f l))
+let pack_ints a = pack string_of_int (Array.to_list a)
+let pair_entry (a, b) = string_of_int a ^ ":" ^ string_of_int b
+
+(* The packed list in field [key] of [row], each entry read by [parse]. *)
+let unpack parse row key =
+  match Obs.Json.str row key with
+  | "" -> []
+  | s ->
+      List.map
+        (fun e ->
+          match parse e with
+          | Some v -> v
+          | None ->
+              restore_fail "malformed %s %s entry %S"
+                (Obs.Json.str row "record") key e)
+        (String.split_on_char ' ' s)
+
+let pair_of_entry second e =
+  match String.split_on_char ':' e with
+  | [ a; b ] -> (
+      match (int_of_string_opt a, second b) with
+      | Some a, Some b -> Some (a, b)
+      | _ -> None)
+  | _ -> None
+
+let int_pair = pair_of_entry int_of_string_opt
+
+let by_key tbl =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let keys tbl = List.map fst (by_key tbl)
+
+let snapshot sim : Snapshot.t =
+  if sim.pass_scheduled then
+    invalid_arg
+      "Simulator.snapshot: a scheduling pass is in flight; snapshot only \
+       after run_until";
+  let rows = ref [] in
+  let row kind fields = rows := (("record", str kind) :: fields) :: !rows in
+  Array.iter
+    (fun (j : Trace.Job.t) ->
+      row "job"
+        ([
+           ("id", int_ j.id);
+           ("size", int_ j.size);
+           ("runtime", num j.runtime);
+           ("est", num j.est_runtime);
+           ("arrival", num j.arrival);
+           ("bw", num j.bw_class);
+         ]
+        @
+        match j.spec with
+        | Trace.Job.Rigid _ -> []
+        | Trace.Job.Moldable { min_size; max_size; pref = _ } ->
+            [ ("min", int_ min_size); ("max", int_ max_size) ]))
+    (Array.append sim.workload.Trace.Workload.jobs
+       (Array.of_list (List.rev sim.dyn_jobs)));
+  Array.iter
+    (fun (e : Trace.Faults.event) ->
+      row "fault"
+        [
+          ("t", num e.time);
+          ( "kind",
+            str (match e.kind with Fail -> "fail" | Repair -> "repair") );
+          ("target", str (Trace.Faults.target_name e.target));
+          ("id", int_ (Trace.Faults.target_id e.target));
+        ])
+    (fault_log sim);
+  row "engine"
+    [
+      ("clock", num (Sim.Engine.now sim.engine));
+      ("steps", int_ (Sim.Engine.steps sim.engine));
+      ("next_seq", int_ (Sim.Engine.next_seq sim.engine));
+    ];
+  List.iter
+    (fun (t, p, seq, tag) ->
+      if tag = "" || tag = "p" then
+        invalid_arg
+          (Printf.sprintf
+             "Simulator.snapshot: unserializable pending event (tag %S)" tag);
+      row "ev"
+        [
+          ("t", num t); ("prio", int_ p); ("seq", int_ seq); ("tag", str tag);
+        ])
+    (Sim.Engine.pending_events sim.engine);
+  row "queue"
+    [
+      ("entries", pack pair_entry (List.of_seq (Queue.to_seq sim.pending_ids)));
+    ];
+  row "pending" [ ("ids", pack string_of_int (keys sim.pending)) ];
+  row "gens" [ ("entries", pack pair_entry (by_key sim.pending_gen)) ];
+  row "nofit"
+    [
+      ("gen", int_ sim.nofit_release_gen);
+      ( "entries",
+        pack
+          (fun (size, bw) -> Printf.sprintf "%d:%h" size bw)
+          (keys sim.nofit) );
+    ];
+  row "kills" [ ("entries", pack pair_entry (by_key sim.kills)) ];
+  List.iter
+    (fun (id, r) ->
+      let a = r.r_alloc in
+      row "run"
+        ([ ("id", int_ id); ("attempt", int_ r.r_attempt) ]
+        @ (if r.r_epoch > 0 then [ ("epoch", int_ r.r_epoch) ] else [])
+        @ [
+            ("start", num r.r_start);
+            ("end", num r.r_end);
+            ("est_end", num r.r_est_end);
+            ("size", int_ a.size);
+            ("bw", num a.bw);
+            ("nodes", pack_ints a.nodes);
+            ("leaf", pack_ints a.leaf_cables);
+            ("l2", pack_ints a.l2_cables);
+          ]))
+    (by_key sim.running);
+  List.iter
+    (fun (pj : Metrics.per_job) ->
+      row "fin"
+        [
+          ("id", int_ pj.job.id);
+          ("start", num pj.start_time);
+          ("end", num pj.end_time);
+        ])
+    (List.rev sim.finished);
+  List.iter
+    (fun (t, ab, rb, p, fl) ->
+      row "smp"
+        [
+          ("t", num t);
+          ("ab", int_ ab);
+          ("rb", int_ rb);
+          ("p", int_ p);
+          ("f", int_ fl);
+        ])
+    (List.rev sim.samples);
+  row "acc"
+    (Acc.to_fields sim.acc
+    @ [
+        ("st_claims", int_ (State.claim_count sim.st));
+        ("st_releases", int_ (State.release_count sim.st));
+        ("st_failures", int_ (State.failure_count sim.st));
+        ("st_repairs", int_ (State.repair_count sim.st));
+        ("st_clones", int_ (State.clone_count sim.st));
+      ]
+    @
+    match sim.reserved with
+    | None -> []
+    | Some (id, at) -> [ ("reserved_id", int_ id); ("reserved_at", num at) ]);
+  { params = Params.of_config sim.cfg sim.workload; records = List.rev !rows }
+
+let record_kinds =
+  [
+    "job"; "fault"; "engine"; "ev"; "queue"; "pending"; "gens"; "nofit";
+    "kills"; "run"; "fin"; "smp"; "acc";
+  ]
+
+(* An event tag's kind and integer arguments: "c:12:0" is ("c", [12; 0]).
+   Raises [Failure] on a non-integer argument. *)
+let parse_tag tag =
+  match String.split_on_char ':' tag with
+  | kind :: args -> (kind, List.map int_of_string args)
+  | [] -> (tag, [])
+
 let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
+  let jint = Obs.Json.int and jnum = Obs.Json.num and jstr = Obs.Json.str in
   try
+    (* Rows depend on one another by kind (every row naming a job needs
+       the job rows), never on their position in the file. *)
+    let by_kind = Hashtbl.create 16 in
+    List.iter
+      (fun r ->
+        let kind = jstr r "record" in
+        if not (List.mem kind record_kinds) then
+          restore_fail "unknown record type %S" kind;
+        Hashtbl.add by_kind kind r)
+      s.records;
+    let rows kind = List.rev (Hashtbl.find_all by_kind kind) in
+    let one kind =
+      match Hashtbl.find_all by_kind kind with
+      | [ r ] -> r
+      | [] -> restore_fail "missing %s record" kind
+      | _ -> restore_fail "duplicate %s record" kind
+    in
+    let ints row key = Array.of_list (unpack int_of_string_opt row key) in
+    let engine = one "engine" and acc = one "acc" and nofit = one "nofit" in
+    let clock = jnum engine "clock" in
+    let jobs =
+      List.map
+        (fun f ->
+          let size = jint f "size" in
+          {
+            Trace.Job.id = jint f "id";
+            size;
+            (* Rigid rows (and every v1 row) carry no size-spec fields. *)
+            spec =
+              (if Obs.Json.mem f "min" then
+                 Trace.Job.Moldable
+                   {
+                     min_size = jint f "min";
+                     max_size = jint f "max";
+                     pref = size;
+                   }
+               else Trace.Job.Rigid size);
+            runtime = jnum f "runtime";
+            est_runtime = jnum f "est";
+            arrival = jnum f "arrival";
+            bw_class = jnum f "bw";
+          })
+        (rows "job")
+      |> Array.of_list
+    in
+    let faults =
+      List.map
+        (fun f ->
+          let kind =
+            match jstr f "kind" with
+            | "fail" -> Trace.Faults.Fail
+            | "repair" -> Trace.Faults.Repair
+            | k -> restore_fail "unknown fault kind %S" k
+          in
+          match
+            Trace.Faults.target_of_name (jstr f "target") (jint f "id")
+          with
+          | Ok target -> { Trace.Faults.time = jnum f "t"; kind; target }
+          | Error m -> restore_fail "%s" m)
+        (rows "fault")
+    in
     let p = s.params in
     let cfg =
-      (* [of_ordered], not [scripted]: the array's positions are the
+      (* [of_ordered], not [scripted]: the list's positions are the
          [f:<idx>] event tags, and a daemon-injected event may sit after
          a static event it precedes in time — re-sorting would silently
          retarget every pending fault tag. *)
       match
-        Params.to_config
-          ~faults:(Trace.Faults.of_ordered (Array.to_list s.faults))
-          ~sink ?prof ?net p
+        Params.to_config ~faults:(Trace.Faults.of_ordered faults) ~sink ?prof
+          ?net p
       with
       | Ok cfg -> cfg
       | Error m -> restore_fail "%s" m
     in
     let w =
-      Trace.Workload.create ~name:p.trace_name ~system_nodes:p.system_nodes
-        s.jobs
+      Trace.Workload.create ~name:p.trace_name ~system_nodes:p.system_nodes jobs
     in
-    let job_tbl = Hashtbl.create (Array.length s.jobs) in
-    Array.iter (fun (j : Trace.Job.t) -> Hashtbl.replace job_tbl j.id j) s.jobs;
+    let job_tbl = Hashtbl.create (Array.length jobs) in
+    Array.iter (fun (j : Trace.Job.t) -> Hashtbl.replace job_tbl j.id j) jobs;
     let find_job id =
       match Hashtbl.find_opt job_tbl id with
       | Some j -> j
@@ -1715,13 +1817,12 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
        faults never intersect running allocations (intersecting jobs
        were killed at the fault instant), so the rebuilt summaries are
        bit-identical to the uninterrupted run's. *)
-    (* Stable time order, not array order: injected events live past the
+    (* Stable time order, not list order: injected events live past the
        static suffix but may precede it in time, and a revert must never
        run before its matching apply (repairing a healthy resource
-       raises).  For a purely static trace the array is already
+       raises).  For a purely static trace the list is already
        time-sorted, so the stable sort is the identity. *)
-    Array.to_list s.faults
-    |> List.filter (fun (e : Trace.Faults.event) -> e.time <= s.clock)
+    List.filter (fun (e : Trace.Faults.event) -> e.time <= clock) faults
     |> List.stable_sort (fun (a : Trace.Faults.event) b ->
            compare a.time b.time)
     |> List.iter (fun (e : Trace.Faults.event) ->
@@ -1737,77 +1838,94 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
     let net_state =
       Option.map
         (fun (policy, shape) ->
-          Routing.Telemetry.create topo ~policy ~shape ~now:s.clock)
+          Routing.Telemetry.create topo ~policy ~shape ~now:clock)
         net
     in
-    Array.iter
-      (fun (r : Snapshot.running_job) ->
-        let j = find_job r.rs_job in
-        let alloc = r.rs_alloc in
-        (match State.claim_exn ~validate:false st alloc with
-        | () -> ()
-        | exception e ->
-            restore_fail "checkpoint is inconsistent: re-claiming job %d: %s"
-              r.rs_job (Printexc.to_string e));
-        Option.iter
-          (fun nt ->
-            ignore (Routing.Telemetry.add_job nt ~now:s.clock alloc))
-          net_state;
-        Hashtbl.replace running_tbl r.rs_job
+    List.iter
+      (fun f ->
+        let id = jint f "id" in
+        let alloc =
           {
-            r_job = j;
+            Alloc.job = id;
+            size = jint f "size";
+            bw = jnum f "bw";
+            nodes = ints f "nodes";
+            leaf_cables = ints f "leaf";
+            l2_cables = ints f "l2";
+          }
+        in
+        (* Validated: the file is input, not a probe's own verdict. *)
+        (match State.claim st alloc with
+        | Ok () -> ()
+        | Error m ->
+            restore_fail "checkpoint is inconsistent: re-claiming job %d: %s"
+              id m);
+        Option.iter
+          (fun nt -> ignore (Routing.Telemetry.add_job nt ~now:clock alloc))
+          net_state;
+        Hashtbl.replace running_tbl id
+          {
+            r_job = find_job id;
             r_alloc = alloc;
-            r_start = r.rs_start;
-            r_end = r.rs_end;
-            r_est_end = r.rs_est_end;
-            r_attempt = r.rs_attempt;
-            r_epoch = r.rs_epoch;
+            r_start = jnum f "start";
+            r_end = jnum f "end";
+            r_est_end = jnum f "est_end";
+            r_attempt = jint f "attempt";
+            (* Written only once the attempt has been resized. *)
+            r_epoch = (if Obs.Json.mem f "epoch" then jint f "epoch" else 0);
           })
-      s.running;
+      (rows "run");
     (* Overwrite the op tallies so generations (and hence the no-fit
        memo guard and the end-of-run profile counters) match the
        uninterrupted run exactly. *)
-    State.set_op_counters st ~claims:s.st_claims ~releases:s.st_releases
-      ~failures:s.st_failures ~repairs:s.st_repairs ~clones:s.st_clones;
+    State.set_op_counters st ~claims:(jint acc "st_claims")
+      ~releases:(jint acc "st_releases") ~failures:(jint acc "st_failures")
+      ~repairs:(jint acc "st_repairs") ~clones:(jint acc "st_clones");
     (* The memo stamp may lag the state's release generation (the memo
        resets lazily, on its next consult) — but it can never be ahead
        of it. *)
-    if s.nofit_release_gen > State.release_generation st then
+    let nofit_release_gen = jint nofit "gen" in
+    if nofit_release_gen > State.release_generation st then
       restore_fail
         "checkpoint is inconsistent: no-fit generation %d ahead of restored \
          state %d"
-        s.nofit_release_gen
+        nofit_release_gen
         (State.release_generation st);
-    let engine =
-      Sim.Engine.restore ~clock:s.clock ~steps:s.steps ~next_seq:s.next_seq
-    in
     let sim =
       {
         cfg;
         workload = w;
         st;
-        engine;
+        engine =
+          Sim.Engine.restore ~clock ~steps:(jint engine "steps")
+            ~next_seq:(jint engine "next_seq");
         pending_ids = Queue.create ();
         pending = Hashtbl.create 1024;
         pending_gen = Hashtbl.create 1024;
         running = running_tbl;
         nofit = Hashtbl.create 64;
-        nofit_release_gen = s.nofit_release_gen;
+        nofit_release_gen;
         pass_scheduled = false;
-        acc = Acc.copy s.acc;
-        samples = List.rev (Array.to_list s.samples);
+        acc = Acc.of_fields acc;
+        samples =
+          List.rev_map
+            (fun f ->
+              (jnum f "t", jint f "ab", jint f "rb", jint f "p", jint f "f"))
+            (rows "smp");
         finished =
-          Array.fold_left
-            (fun acc (f : Snapshot.finished_job) ->
+          List.rev_map
+            (fun f ->
               {
-                Metrics.job = find_job f.fs_job;
-                start_time = f.fs_start;
-                end_time = f.fs_end;
-              }
-              :: acc)
-            [] s.finished;
+                Metrics.job = find_job (jint f "id");
+                start_time = jnum f "start";
+                end_time = jnum f "end";
+              })
+            (rows "fin");
         kills = Hashtbl.create 64;
-        reserved = s.reserved;
+        reserved =
+          (if Obs.Json.mem acc "reserved_id" then
+             Some (jint acc "reserved_id", jnum acc "reserved_at")
+           else None);
         scratch = None;
         jobs_by_id = job_tbl;
         dyn_jobs = [];
@@ -1815,55 +1933,53 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
         net = net_state;
       }
     in
-    Array.iter (fun (id, g) -> Queue.add (id, g) sim.pending_ids) s.queue;
-    Array.iter
+    List.iter
+      (fun e -> Queue.add e sim.pending_ids)
+      (unpack int_pair (one "queue") "entries");
+    List.iter
       (fun id -> Hashtbl.replace sim.pending id (find_job id))
-      s.pending_live;
-    Array.iter
+      (unpack int_of_string_opt (one "pending") "ids");
+    List.iter
       (fun (id, g) -> Hashtbl.replace sim.pending_gen id g)
-      s.pending_gens;
-    Array.iter (fun key -> Hashtbl.replace sim.nofit key ()) s.nofit;
-    Array.iter (fun (id, k) -> Hashtbl.replace sim.kills id k) s.kills;
+      (unpack int_pair (one "gens") "entries");
+    List.iter
+      (fun key -> Hashtbl.replace sim.nofit key ())
+      (unpack (pair_of_entry float_of_string_opt) nofit "entries");
+    List.iter
+      (fun (id, k) -> Hashtbl.replace sim.kills id k)
+      (unpack int_pair (one "kills") "entries");
     (* Re-materialize the event heap from the tags, preserving exact
        sequence numbers so same-instant tie-breaking (and therefore
        every float summation order downstream) is unchanged. *)
     let fault_arr = Trace.Faults.events cfg.faults in
-    Array.iter
-      (fun (ev : Snapshot.event) ->
+    List.iter
+      (fun f ->
+        let tag = jstr f "tag" in
         let action =
-          match String.split_on_char ':' ev.ev_tag with
-          | [ "a"; id ] ->
-              let j = find_job (int_of_string id) in
+          match parse_tag tag with
+          | exception Failure _ -> restore_fail "malformed event tag %S" tag
+          | "a", [ id ] ->
+              let j = find_job id in
               fun _ -> arrive sim j
-          | [ "c"; id; attempt ] ->
-              let id = int_of_string id and attempt = int_of_string attempt in
+          | "c", [ id; attempt ] ->
               fun _ -> complete_job sim id ~attempt ~epoch:0
-          | [ "c"; id; attempt; epoch ] ->
-              let id = int_of_string id
-              and attempt = int_of_string attempt
-              and epoch = int_of_string epoch in
+          | "c", [ id; attempt; epoch ] ->
               fun _ -> complete_job sim id ~attempt ~epoch
-          | [ "f"; idx ] ->
-              let i = int_of_string idx in
+          | "f", [ i ] ->
               if i < 0 || i >= Array.length fault_arr then
                 restore_fail "checkpoint references fault event %d of %d" i
                   (Array.length fault_arr);
-              fun _ -> fault_event sim fault_arr.(i)
-          | _ -> restore_fail "unknown event tag %S" ev.ev_tag
-          | exception Failure _ ->
-              restore_fail "malformed event tag %S" ev.ev_tag
+              let e = fault_arr.(i) in
+              fun _ -> fault_event sim e
+          | _ -> restore_fail "unknown event tag %S" tag
         in
-        match
-          Sim.Engine.schedule_restored sim.engine ~time:ev.ev_time
-            ~priority:ev.ev_priority ~seq:ev.ev_seq ~tag:ev.ev_tag action
-        with
-        | () -> ()
-        | exception Invalid_argument m -> restore_fail "%s" m)
-      s.events;
+        Sim.Engine.schedule_restored sim.engine ~time:(jnum f "t")
+          ~priority:(jint f "prio") ~seq:(jint f "seq") ~tag action)
+      (rows "ev");
     (* Emission never touches simulator state, so metrics are
        unaffected. *)
     announce sim;
     Ok sim
   with
-  | Restore_error m -> Error m
-  | Invalid_argument m -> Error m
+  | Restore_error m | Invalid_argument m -> Error m
+  | Obs.Json.Parse_error m -> Error ("bad checkpoint record: " ^ m)

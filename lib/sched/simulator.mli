@@ -163,22 +163,6 @@ module Params : sig
       name or a negative [system_nodes]. *)
 end
 
-(** The run's scalar accumulators (scheduling clock, busy counts,
-    fault and molding tallies, ...), held by a live simulation and
-    copied into each {!Snapshot.t}. *)
-module Acc : sig
-  type t
-
-  val to_fields : t -> (string * Obs.Json.value) list
-  (** One field per accumulator, in a fixed order. *)
-
-  val of_fields : (string * Obs.Json.value) list -> t
-  (** Inverse of {!to_fields}.  The counters molding and the daemon
-      introduced ([shrunk], [grown], [cancelled]) read as 0 when absent;
-      every other key is required.  Raises [Obs.Json.Parse_error] on a
-      missing or mistyped key. *)
-end
-
 val reservation :
   Allocator.t ->
   scratch:(unit -> Fattree.State.t) ->
@@ -316,66 +300,20 @@ val net_summary : t -> Routing.Telemetry.summary option
     depend on whether telemetry ran. *)
 
 (** A serializable snapshot of a mid-flight simulation, taken between
-    events.  Self-contained: carries the full workload and fault trace
-    plus every piece of dynamic state, so restore needs no side files.
-    The trace sink and profiling registry are {e not} captured — they
-    are wall-clock observers, not simulation state; {!of_snapshot}
-    accepts fresh ones. *)
+    events, held as the checkpoint file's records: {!snapshot} encodes
+    every piece of dynamic state into them and {!of_snapshot} decodes
+    them, so [Checkpoint] only frames them.  Self-contained: the rows
+    carry the full workload and fault trace too, so restore needs no
+    side files.  The trace sink and profiling registry are {e not}
+    captured — they are wall-clock observers, not simulation state;
+    {!of_snapshot} accepts fresh ones.  DESIGN.md §12 lists the record
+    kinds. *)
 module Snapshot : sig
-  type event = {
-    ev_time : float;
-    ev_priority : int;
-    ev_seq : int;
-    ev_tag : string;
-  }
-  (** One pending engine event, serialized logically: the tag names the
-      closure (["a:<job>"] arrival, ["c:<job>:<attempt>"] completion —
-      with an extra [":<epoch>"] part once the attempt has been resized
-      in place — ["f:<index>"] fault event) and the exact sequence
-      number preserves same-instant FIFO tie-breaking across the
-      restore. *)
-
-  type running_job = {
-    rs_job : int;
-    rs_attempt : int;
-    rs_epoch : int;
-        (** In-place resizes applied to this attempt (0 before any);
-            completion events carry the epoch they were scheduled under,
-            so a superseded completion is dropped exactly like a stale
-            attempt's. *)
-    rs_start : float;
-    rs_end : float;
-    rs_est_end : float;
-    rs_alloc : Fattree.Alloc.t;
-        (** [rs_alloc.size] is the {e granted} size. *)
-  }
-
-  type finished_job = { fs_job : int; fs_start : float; fs_end : float }
-
   type t = {
-    params : Params.t;
-    jobs : Trace.Job.t array;
-    faults : Trace.Faults.event array;
-    clock : float;
-    steps : int;
-    next_seq : int;
-    events : event array;  (** Pending events in [seq] order. *)
-    queue : (int * int) array;  (** [(id, stamp)], queue front first. *)
-    pending_live : int array;  (** Ids in the pending table, ascending. *)
-    pending_gens : (int * int) array;  (** [(id, stamp)], ascending id. *)
-    running : running_job array;  (** Ascending job id. *)
-    nofit : (int * float) array;  (** Memoized no-fit classes, ascending. *)
-    nofit_release_gen : int;
-    kills : (int * int) array;  (** [(id, kills)], ascending id. *)
-    reserved : (int * float) option;
-    acc : Acc.t;  (** A copy: the live run keeps mutating its own. *)
-    samples : (float * int * int * int * int) array;  (** Chronological. *)
-    finished : finished_job array;  (** Completion order. *)
-    st_claims : int;
-    st_releases : int;
-    st_failures : int;
-    st_repairs : int;
-    st_clones : int;
+    params : Params.t;  (** The configuration the file header carries. *)
+    records : (string * Obs.Json.value) list list;
+        (** Flat JSON rows in file order, each tagged by its ["record"]
+            kind. *)
   }
 end
 
@@ -390,13 +328,16 @@ val of_snapshot :
   ?net:Routing.Telemetry.policy * Routing.Telemetry.shape ->
   Snapshot.t ->
   (t, string) result
-(** Rebuild a live simulation from a snapshot: resolve the scheme and
-    scenario by name, replay the executed fault prefix against a fresh
-    cluster state, re-claim the running allocations (bit-exact — demands
-    are dyadic and live faults never intersect running jobs), restore
-    the operation counters, and re-materialize the event heap from the
-    tags with original sequence numbers.  [Error] on an unknown scheme,
-    scenario or job id, a malformed tag, or an inconsistent snapshot.
+(** Rebuild a live simulation from a snapshot: decode the records,
+    resolve the scheme and scenario by name, replay the executed fault
+    prefix against a fresh cluster state, re-claim the running
+    allocations (bit-exact — demands are dyadic and live faults never
+    intersect running jobs), restore the operation counters, and
+    re-materialize the event heap from the tags with original sequence
+    numbers.  [Error], never an exception, on an unknown record kind, a
+    missing, duplicated or malformed record, an unknown scheme, scenario
+    or job id, a malformed tag, or an inconsistent snapshot (for
+    instance an allocation that does not re-claim).
     The restored run's sink and profiling registry default to off;
     profile spans cover only the post-restore segment (wall-clock is not
     simulation state), while the end-of-run [state/*] and

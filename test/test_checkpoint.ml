@@ -162,14 +162,20 @@ let test_snapshot_file_identity () =
 (* Files written by an earlier build, and the fingerprint that build
    recorded for resuming each one: a faulted moldable TA run
    checkpointed mid-flight (after a shrink recovery, a kill and 67
-   grows, with a twice-resized job running), and a rigid Jigsaw run
+   grows, with a twice-resized job running); a rigid Jigsaw run
    rewritten as a version-1 file (version field 1, none of the counters
-   molding or the daemon introduced, trailer recomputed). *)
+   molding or the daemon introduced, trailer recomputed); and a
+   current-version (v3) file of a faulted moldable TA run taken while
+   jobs run, a resized attempt is live, faults are unrepaired, and the
+   queue, the no-fit memo and the head reservation are all non-empty. *)
 let fixtures =
   [
     ("fixtures/moldable-faulted.ckpt", "f7a33f35a4cc3372a9dfb898e73a0965");
     ("fixtures/rigid-v1.ckpt", "e9b13de7446f90b5aa9c9afac3f96753");
+    ("fixtures/moldable-faulted-v3.ckpt", "5df8251f89bfcd3cd01e015eca8942e1");
   ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let finish_fingerprint = function
   | Error m -> Alcotest.failf "restore: %s" m
@@ -195,6 +201,18 @@ let test_fixtures_resume () =
                   if s <> s' then
                     Alcotest.failf "%s changed across re-save" path))
     fixtures
+
+(* The file format, pinned byte for byte: a current-version file loads
+   and saves back to exactly its own bytes. *)
+let test_fixture_resaves_bytes () =
+  let path = "fixtures/moldable-faulted-v3.ckpt" in
+  match Sched.Checkpoint.load ~path with
+  | Error m -> Alcotest.failf "%s: %s" path m
+  | Ok s ->
+      with_temp (fun tmp ->
+          Sched.Checkpoint.save ~path:tmp s;
+          Alcotest.(check string) "re-saved bytes" (read_file path)
+            (read_file tmp))
 
 let test_snapshot_restores_independently () =
   (* The snapshot holds its own copy of the run's accumulators: the live
@@ -269,6 +287,85 @@ let test_corruption_fails_loudly () =
       expect_error "foreign file" (Sched.Checkpoint.load ~path));
   expect_error "missing file"
     (Sched.Checkpoint.load ~path:"/nonexistent/jigsaw.ckpt")
+
+(* A parseable but wrong file must be refused, not crash the loader:
+   one random mutation of one body line of a radix-8 checkpoint, with
+   the integrity trailer recomputed so the mutation reaches the record
+   decoder, must make restore answer [Ok] or [Error] — never raise. *)
+let mutation_base =
+  lazy
+    (let c =
+       cfg
+         ~faults:(Lazy.force scripted_faults)
+         ~resilience:requeue_policy Sched.Allocator.jigsaw
+     in
+     let sim = Sched.Simulator.start c (Lazy.force workload) in
+     Sched.Simulator.run_until sim 950.0;
+     with_temp (fun path ->
+         Sched.Checkpoint.write ~path sim;
+         (* Every line but the trailer; the split leaves "" after the
+            final newline. *)
+         match List.rev (String.split_on_char '\n' (read_file path)) with
+         | "" :: _trailer :: body -> Array.of_list (List.rev body)
+         | _ -> Alcotest.fail "checkpoint does not end in a trailer line"))
+
+let with_trailer lines =
+  let body = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  let n = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 body in
+  let b = Buffer.create 128 in
+  Obs.Json.write b
+    [
+      ("record", Obs.Json.Str "end");
+      ("lines", Obs.Json.Num (float_of_int n));
+      ("md5", Obs.Json.Str (Digest.to_hex (Digest.string body)));
+    ];
+  body ^ Buffer.contents b ^ "\n"
+
+let mutate prng lines =
+  let n = Array.length lines in
+  let pick () = Sim.Prng.int_in prng ~lo:0 ~hi:(n - 1) in
+  let i = pick () in
+  let l = lines.(i) in
+  let all = Array.to_list lines in
+  match Sim.Prng.int_in prng ~lo:0 ~hi:4 with
+  | 0 -> (Printf.sprintf "drop line %d" i, List.filteri (fun k _ -> k <> i) all)
+  | 1 ->
+      ( Printf.sprintf "duplicate line %d" i,
+        List.concat (List.mapi (fun k x -> if k = i then [ x; x ] else [ x ]) all) )
+  | 2 ->
+      let j = pick () in
+      ( Printf.sprintf "swap lines %d and %d" i j,
+        List.mapi
+          (fun k x -> if k = i then lines.(j) else if k = j then lines.(i) else x)
+          all )
+  | 3 ->
+      let pos = Sim.Prng.int_in prng ~lo:0 ~hi:(String.length l - 1) in
+      let bit = Sim.Prng.int_in prng ~lo:0 ~hi:7 in
+      let b = Bytes.of_string l in
+      Bytes.set b pos (Char.chr (Char.code l.[pos] lxor (1 lsl bit)));
+      ( Printf.sprintf "flip bit %d of byte %d of line %d" bit pos i,
+        List.mapi (fun k x -> if k = i then Bytes.to_string b else x) all )
+  | _ ->
+      let len = Sim.Prng.int_in prng ~lo:0 ~hi:(String.length l - 1) in
+      ( Printf.sprintf "cut line %d to %d bytes" i len,
+        List.mapi (fun k x -> if k = i then String.sub l 0 len else x) all )
+
+let prop_mutated_checkpoint_total =
+  QCheck2.Test.make ~name:"mutated checkpoint: restore is Ok or Error"
+    ~count:300
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let what, lines =
+        mutate (Sim.Prng.create ~seed) (Lazy.force mutation_base)
+      in
+      with_temp (fun path ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc (with_trailer lines));
+          match Sched.Checkpoint.restore ~path () with
+          | Ok _ | Error _ -> true
+          | exception e ->
+              QCheck2.Test.fail_reportf "%s: restore raised %s" what
+                (Printexc.to_string e)))
 
 (* ------------------------------------------------------------------ *)
 (* Cell ids, metrics round-trip, sweep manifests                       *)
@@ -410,6 +507,9 @@ let suite =
       test_snapshot_file_identity;
     Alcotest.test_case "earlier builds' checkpoints resume" `Quick
       test_fixtures_resume;
+    Alcotest.test_case "v3 fixture re-saves byte for byte" `Quick
+      test_fixture_resaves_bytes;
+    QCheck_alcotest.to_alcotest prop_mutated_checkpoint_total;
     Alcotest.test_case "one snapshot restores twice" `Quick
       test_snapshot_restores_independently;
     Alcotest.test_case "corruption fails loudly" `Quick

@@ -96,7 +96,19 @@ let test_jsonl_roundtrip () =
       let e' = Obs.Event.of_jsonl (String.trim line) in
       if e' <> e then
         Alcotest.failf "jsonl round-trip mismatch for %a" Obs.Event.pp e)
-    specimen_events
+    specimen_events;
+  (* The writer's exact text: checkpoints are compared byte for byte. *)
+  let b = Buffer.create 64 in
+  Obs.Json.write b
+    Obs.Json.
+      [
+        ("a", Num 3.0); ("b", Num (-7.0)); ("c", Num (-0.0)); ("d", Num 1e15);
+        ("e", Num 0.1); ("f", Str "x\"y\\z\n\001"); ("g", Str "plain");
+      ];
+  Alcotest.(check string)
+    "writer text"
+    {|{"a":3,"b":-7,"c":-0,"d":1000000000000000,"e":0.10000000000000001,"f":"x\"y\\z\n\u0001","g":"plain"}|}
+    (Buffer.contents b)
 
 let test_csv_roundtrip () =
   List.iter
@@ -114,6 +126,10 @@ let test_parse_errors () =
   | exception Obs.Json.Parse_error _ -> ());
   (match Obs.Event.of_csv "1,2,3" with
   | _ -> Alcotest.fail "short csv row accepted"
+  | exception Obs.Json.Parse_error _ -> ());
+  (* A \u escape with non-hex digits is a parse error, not a [Failure]. *)
+  (match Obs.Json.parse_line {|{"a":"\u00zz"}|} with
+  | _ -> Alcotest.fail "bad \\u escape accepted"
   | exception Obs.Json.Parse_error _ -> ());
   match Obs.Event.of_jsonl {|{"t":1,"ev":"no_such_kind"}|} with
   | _ -> Alcotest.fail "unknown kind accepted"
